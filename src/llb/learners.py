@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .embedding import je_loss_and_grad
-from .errors import ConfigurationError
+from .embedding import check_descriptor, je_loss_and_grad
+from .errors import ConfigurationError, NumericError
 from .memory import EpisodicMemory, MixedBatch, per_task_batches, sample_ref_batch, update_eps_mem
 from .nn import Batch, Model, apply_update, loss_and_grad
 from .qp import DualProblem, drop_zero_rows, reconstruct, solve_nonneg_qp
@@ -33,16 +33,29 @@ DEGENERATE_REF_EPS = 1e-12
 
 @dataclass
 class EwcAnchor:
+    """Every consolidated task's quadratic penalty, merged into one.
+
+    After tasks k = 1..K with snapshots theta*_k, Fisher diagonals F_k and
+    strengths lam_k,
+
+        sum_k lam_k F_k (theta - theta*_k)^2 = fisher (theta - theta_star)^2 + offset
+
+    (summed over parameters), where ``fisher`` = sum_k lam_k F_k,
+    ``theta_star`` is the ``fisher``-weighted mean of the theta*_k (any
+    value where ``fisher`` is 0) and ``offset`` is the constant left over.
+    The penalty gradient therefore costs the same at any task count.
+    """
+
     theta_star: np.ndarray
-    fisher: np.ndarray     # nonnegative, per-parameter
-    lam: float
+    fisher: np.ndarray     # nonnegative, per-parameter, strengths folded in
+    offset: float = 0.0
 
 
 @dataclass
 class LearnerState:
     model: Model
     memory: EpisodicMemory | None = None
-    ewc_anchors: list[EwcAnchor] = field(default_factory=list)
+    ewc_anchors: list[EwcAnchor] = field(default_factory=list)  # empty or one merged anchor
     violation_count: int = 0
     step_seconds: float = 0.0
     step_count: int = 0
@@ -167,15 +180,65 @@ def agem_step(
 
 
 def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
-    rows = []
-    for task, buf in per_task_batches(state.memory):
-        _, g_k = batch_loss_and_grad(
-            state.model, Batch(buf.x, buf.y, task), state.descriptors
-        )
-        rows.append(g_k)
-    if not rows:
-        return np.zeros((0, len(state.model.theta)))
-    return drop_zero_rows(np.stack(rows))
+    """GEM's constraint matrix: one loss-gradient row per stored task.
+
+    All rows come from one grouped pass.  The stored buffers are stacked
+    in ascending task order, so task k owns a contiguous range of rows; a
+    single trunk forward covers them all, each task's head (or attribute
+    table) gradient is written straight into row k of one zero matrix, and
+    the backward sweep propagates every row's delta with one matmul per
+    layer while each task's weight and bias gradients land in its own row.
+    Row k equals ``batch_loss_and_grad`` over task k's full buffer.
+    All-zero rows are dropped.
+    """
+    model = state.model
+    arch = model.arch
+    lay = nn.layout(arch)
+    buffers = per_task_batches(state.memory)
+    if not buffers:
+        return np.zeros((0, lay.size))
+    bounds = np.cumsum([0] + [len(buf) for _, buf in buffers])
+    segments = [slice(bounds[k], bounds[k + 1]) for k in range(len(buffers))]
+    pres, posts = nn.trunk_forward(model, np.concatenate([buf.x for _, buf in buffers]))
+    phi = posts[-1]
+    G = np.zeros((len(buffers), lay.size))
+    d = np.empty_like(phi)
+    table = None
+    if arch.head_mode == nn.JOINT_EMBEDDING:
+        table = model.theta[lay.table].reshape(arch.attr_count, arch.table_dim)
+    for k, ((task, buf), rows) in enumerate(zip(buffers, segments)):
+        h = phi[rows]
+        if table is None:
+            w, b, classes = model._head(task)
+            W_head = model.theta[w].reshape(arch.trunk_dim, classes)
+            logits = h @ W_head + model.theta[b]
+        else:
+            desc = check_descriptor(model, state.descriptors[task])
+            classes = len(desc)
+            class_emb = desc @ table
+            logits = h @ class_emb.T
+        if np.any(buf.y < 0) or np.any(buf.y >= classes):
+            raise ConfigurationError(f"labels out of range for task {task}")
+        if not np.all(np.isfinite(logits)):
+            raise NumericError(f"non-finite logits for task {task}")
+        _, dlogits = nn.softmax_cross_entropy(logits, buf.y)
+        if table is None:
+            G[k, w] = (h.T @ dlogits).ravel()
+            G[k, b] = dlogits.sum(axis=0)
+            d[rows] = dlogits @ W_head.T
+        else:
+            G[k, lay.table] = (desc.T @ (dlogits.T @ h)).ravel()
+            d[rows] = dlogits @ class_emb
+    for idx in range(len(lay.trunk) - 1, -1, -1):
+        w, b, fan_in, fan_out = lay.trunk[idx]
+        d_pre = d * (pres[idx] > 0.0)
+        for k, rows in enumerate(segments):
+            # written straight into G: no per-task temporary of the layer's size
+            np.matmul(posts[idx][rows].T, d_pre[rows], out=G[k, w].reshape(fan_in, fan_out))
+            G[k, b] = d_pre[rows].sum(axis=0)
+        if idx > 0:
+            d = d_pre @ model.theta[w].reshape(fan_in, fan_out).T
+    return drop_zero_rows(G)
 
 
 def gem_step(
@@ -187,17 +250,22 @@ def gem_step(
 ) -> LearnerState:
     """Gradient step constrained per stored task, via the dual QP.
 
-    The constraint matrix is recomputed from the full buffers at every
-    step; with no stored tasks (or all-zero memory gradients) this is a
-    plain step.
+    The constraint matrix G is recomputed from the full buffers at every
+    step, in one grouped pass (``_memory_gradient_rows``).  G g is formed
+    once: it decides whether any constraint is violated and is the dual's
+    linear term.  With no stored tasks (or all-zero memory gradients) this
+    is a plain step.
     """
     _, g = batch_loss_and_grad(state.model, batch, state.descriptors)
     G = _memory_gradient_rows(state) if state.memory else np.zeros((0, len(g)))
-    if len(G) == 0 or np.all(G @ g >= 0.0):
+    Gg = G @ g
+    if np.all(Gg >= 0.0):
         state.model = apply_update(state.model, g, lr)
         return state
     state.violation_count += 1
-    sol = solve_nonneg_qp(DualProblem.from_gradients(G, g), tol=tol, max_iter=max_iter)
+    sol = solve_nonneg_qp(
+        DualProblem.from_gradients(G, g, linear=Gg), tol=tol, max_iter=max_iter
+    )
     if not sol.converged:
         log.warning(
             "dual QP not converged after %d iterations (residual %.3e); "
@@ -288,7 +356,12 @@ def ewc_consolidate(
     """Snapshot theta and an empirical Fisher diagonal at a task boundary.
 
     The Fisher is the mean squared per-example loss gradient over up to
-    ``fisher_samples`` uniformly chosen training examples.
+    ``fisher_samples`` uniformly chosen training examples.  The new
+    penalty lam F (theta - theta*)^2 is folded into the single merged
+    ``EwcAnchor``: the Fisher weights add, the anchor point moves to their
+    weighted mean (a convex combination, so nothing cancels), and the
+    parallel-axis term a b / (a + b) (p - q)^2 of the two merged quadratics
+    goes into the offset, so the penalty value stays exact.
     """
     n = len(task_dataset.train_y)
     if n == 0:
@@ -301,27 +374,47 @@ def ewc_consolidate(
         )
         batch = Batch(task_dataset.train_x[idx], task_dataset.train_y[idx], task_dataset.task_id)
         fisher = per_example_squared_grads(state.model, batch, state.descriptors) / take
-    state.ewc_anchors.append(EwcAnchor(state.model.theta.copy(), fisher, lam))
+    weight = lam * fisher
+    theta = state.model.theta
+    if not state.ewc_anchors:
+        state.ewc_anchors = [EwcAnchor(theta.copy(), weight)]
+        return state
+    (old,) = state.ewc_anchors
+    total = old.fisher + weight
+    share = np.divide(weight, total, out=np.zeros_like(total), where=total > 0.0)
+    diff = theta - old.theta_star
+    state.ewc_anchors = [
+        EwcAnchor(
+            old.theta_star + share * diff,
+            total,
+            old.offset + float((old.fisher * share) @ diff**2),
+        )
+    ]
     return state
 
 
 def ewc_penalty_and_grad(state: LearnerState) -> tuple[float, np.ndarray]:
-    """sum_anchors lam * sum_i F_i (theta_i - theta*_i)^2 and its gradient."""
-    penalty = 0.0
-    grad = np.zeros_like(state.model.theta)
-    for anchor in state.ewc_anchors:
-        diff = state.model.theta - anchor.theta_star
-        penalty += anchor.lam * float(anchor.fisher @ diff**2)
-        grad += 2.0 * anchor.lam * anchor.fisher * diff
+    """sum_k lam_k sum_i F_k,i (theta_i - theta*_k,i)^2 and its gradient.
+
+    Read off the merged anchor: fisher (theta - theta_star)^2 + offset,
+    with gradient 2 fisher (theta - theta_star).
+    """
+    if not state.ewc_anchors:
+        return 0.0, np.zeros_like(state.model.theta)
+    (anchor,) = state.ewc_anchors
+    diff = state.model.theta - anchor.theta_star
+    grad = anchor.fisher * diff
+    penalty = float(grad @ diff) + anchor.offset
+    grad *= 2.0
     return penalty, grad
 
 
 def ewc_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
-    """SGD on task loss plus the quadratic anchor penalties."""
+    """SGD on task loss plus the merged quadratic anchor penalty."""
     _, grad = batch_loss_and_grad(state.model, batch, state.descriptors)
     if state.ewc_anchors:
         _, pgrad = ewc_penalty_and_grad(state)
-        grad = grad + pgrad
+        grad += pgrad
     state.model = apply_update(state.model, grad, lr)
     return state
 

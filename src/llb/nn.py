@@ -273,8 +273,8 @@ def apply_update(model: Model, grad: np.ndarray, lr: float) -> Model:
     """theta' = theta - lr * grad (returns a new Model)."""
     if grad.shape != model.theta.shape:
         raise ConfigurationError("gradient length differs from theta")
-    if np.any(np.isnan(grad)):
-        raise NumericError("NaN in gradient")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite (NaN or inf) value in gradient")
     if lr <= 0:
         raise ConfigurationError("learning rate must be positive")
     return Model(model.arch, model.theta - lr * grad)

@@ -249,6 +249,87 @@ class TestGemStep:
             assert np.min(rows @ applied) >= -1e-6
 
 
+class TestGroupedMemoryRows:
+    """The grouped pass against one batch_loss_and_grad call per stored task."""
+
+    @staticmethod
+    def per_task_rows(state):
+        rows = []
+        for task in sorted(state.memory.per_task):
+            buf = state.memory.per_task[task]
+            _, g = batch_loss_and_grad(state.model, nn.Batch(buf.x, buf.y, task), state.descriptors)
+            rows.append(g)
+        return [g for g in rows if np.any(g != 0.0)]
+
+    def assert_rows_match(self, state):
+        from llb.learners import _memory_gradient_rows
+
+        G = _memory_gradient_rows(state)
+        expected = self.per_task_rows(state)
+        assert G.shape == (len(expected), len(state.model.theta))
+        for row, ref in zip(G, expected):
+            assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def memory_state(self, stream, tasks, capacity=25, hidden=(10, 9)):
+        mem = EpisodicMemory(capacity)
+        for t in tasks:
+            update_eps_mem(mem, t, t.task_id, seed=0)
+        return fresh_state(stream, hidden=hidden, seed=3, memory=mem)
+
+    def test_per_task_heads(self):
+        stream = small_stream(T=4, n=40)
+        self.assert_rows_match(self.memory_state(stream, stream.tasks[:3]))
+
+    def test_one_stored_task(self):
+        stream = small_stream(T=2, n=40)
+        self.assert_rows_match(self.memory_state(stream, stream.tasks[:1]))
+
+    def test_joint_embedding_table(self):
+        from llb.protocol import arch_for_stream
+        from llb.streams import make_synthetic_split_stream
+
+        cont = make_synthetic_split_stream(
+            num_classes=20, classes_per_task=3, T=5, A=6, seed=1, cv_split=1,
+            input_dim=8, train_per_class=10, test_per_class=4,
+        )
+        mem = EpisodicMemory(12)
+        for t in cont.tasks[:4]:
+            update_eps_mem(mem, t, t.task_id, seed=0)
+        arch = arch_for_stream(cont, (10, 9), True)
+        state = LearnerState(model=nn.init_model(arch, 2), memory=mem)
+        for t in cont.tasks:
+            state.descriptors[t.task_id] = t.descriptor
+        self.assert_rows_match(state)
+
+    def test_one_class_memory_task_row_dropped(self):
+        from llb.memory import TaskBuffer
+
+        rng = np.random.default_rng(4)
+        arch = nn.Architecture(8, (10, 9), ((1, 10), (2, 1), (3, 10)))
+        mem = EpisodicMemory(6)
+        for task, classes in ((1, 10), (2, 1), (3, 10)):
+            mem.per_task[task] = TaskBuffer(
+                rng.normal(size=(6, 8)), rng.integers(0, classes, 6), np.arange(6) + 10 * task
+            )
+        state = LearnerState(model=nn.init_model(arch, 0), memory=mem,
+                             descriptors={1: 1, 2: 2, 3: 3})
+        self.assert_rows_match(state)
+        from llb.learners import _memory_gradient_rows
+
+        assert len(_memory_gradient_rows(state)) == 2
+
+    def test_non_finite_logits_raise(self):
+        from llb.errors import NumericError
+        from llb.learners import _memory_gradient_rows
+
+        stream = small_stream(T=3, n=40)
+        state = self.memory_state(stream, stream.tasks[:2])
+        _, b, _ = state.model._head(2)
+        state.model.theta[b] = np.inf
+        with pytest.raises(NumericError, match="non-finite logits"):
+            _memory_gradient_rows(state)
+
+
 class TestSGem:
     def test_empty_memory_is_vanilla(self):
         stream = small_stream()
@@ -306,19 +387,55 @@ class TestEwc:
         assert np.all(pgrad == 0.0)
 
     def test_two_anchors_additive(self):
+        # consolidating two tasks into one state penalizes like two states
+        # that each consolidated one of them
         stream = small_stream(T=3, n=40)
-        state = fresh_state(stream)
+        state, one = fresh_state(stream), fresh_state(stream)
         ewc_consolidate(state, stream.tasks[0], 30, 2.0, seed=0)
+        ewc_consolidate(one, stream.tasks[0], 30, 2.0, seed=0)
         vanilla_step(state, first_batch(stream.tasks[1]), 0.1)
+        two = LearnerState(model=state.model.copy(), descriptors=state.descriptors)
         ewc_consolidate(state, stream.tasks[1], 30, 3.0, seed=1)
-        assert len(state.ewc_anchors) == 2
+        ewc_consolidate(two, stream.tasks[1], 30, 3.0, seed=1)
+        assert len(state.ewc_anchors) == 1
+        vanilla_step(state, first_batch(stream.tasks[2]), 0.1)
+        one.model = two.model = state.model
         p_both, g_both = ewc_penalty_and_grad(state)
-        one = LearnerState(model=state.model, ewc_anchors=[state.ewc_anchors[0]])
-        two = LearnerState(model=state.model, ewc_anchors=[state.ewc_anchors[1]])
         p1, g1 = ewc_penalty_and_grad(one)
         p2, g2 = ewc_penalty_and_grad(two)
+        assert p1 > 0.0 and p2 > 0.0
         assert p_both == pytest.approx(p1 + p2, abs=1e-12)
         assert np.allclose(g_both, g1 + g2, atol=1e-12)
+
+    @pytest.mark.parametrize("count", range(1, 7))
+    def test_merged_anchor_matches_per_anchor_loop(self, count, monkeypatch):
+        import llb.learners as learners
+
+        stream = small_stream(T=2, n=40)
+        state = fresh_state(stream)
+        P = len(state.model.theta)
+        rng = np.random.default_rng(count)
+        anchors = []
+        for k in range(count):
+            lam = float(rng.uniform(0.0, 5.0))
+            fisher = rng.exponential(size=P) * (rng.random(P) < 0.6)
+            fisher[:7] = 0.0       # zero in every consolidation
+            theta_star = rng.normal(size=P)
+            anchors.append((lam, fisher, theta_star))
+            state.model = nn.Model(state.model.arch, theta_star.copy())
+            # ewc_consolidate divides the summed squares by the sample count
+            monkeypatch.setattr(
+                learners, "per_example_squared_grads", lambda *a, f=fisher: f * 30
+            )
+            ewc_consolidate(state, stream.tasks[0], 30, lam, seed=k)
+        assert len(state.ewc_anchors) == 1
+        theta = rng.normal(size=P)
+        state.model = nn.Model(state.model.arch, theta)
+        penalty, grad = ewc_penalty_and_grad(state)
+        ref_penalty = sum(lam * float(f @ (theta - ts) ** 2) for lam, f, ts in anchors)
+        ref_grad = sum(2.0 * lam * f * (theta - ts) for lam, f, ts in anchors)
+        assert abs(penalty - ref_penalty) <= 1e-9 * ref_penalty
+        assert np.linalg.norm(grad - ref_grad) <= 1e-9 * np.linalg.norm(ref_grad)
 
     def test_penalty_gradient_matches_finite_differences(self):
         stream = small_stream(T=2, n=40)
@@ -331,7 +448,7 @@ class TestEwc:
 
         def penalty(theta):
             diff = theta - anchor.theta_star
-            return anchor.lam * float(anchor.fisher @ diff**2)
+            return float(anchor.fisher @ diff**2) + anchor.offset
 
         fd = finite_diff_grad(penalty, state.model.theta, coords, h=1e-6)
         assert np.max(np.abs(pgrad[coords] - fd)) < 1e-8

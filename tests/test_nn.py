@@ -203,3 +203,11 @@ class TestApplyUpdate:
         bad[3] = np.nan
         with pytest.raises(NumericError):
             nn.apply_update(model, bad, 0.1)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_grad_raises(self, value):
+        model = nn.init_model(small_arch(), 1)
+        bad = np.zeros_like(model.theta)
+        bad[3] = value
+        with pytest.raises(NumericError):
+            nn.apply_update(model, bad, 0.1)

@@ -373,6 +373,19 @@ class TestRunSeed:
         r = run_seed(config, 0).report
         assert len(r.zero_shot) == 2
 
+    def test_gem_je_on_attribute_stream(self):
+        # run_seed raises if any of the three audits fails
+        config = ExperimentConfig(
+            learner="gem-je",
+            stream={"kind": "synthetic-split", "tasks": 5, "cv_split": 2,
+                    "num_classes": 20, "classes_per_task": 3,
+                    "train_per_class": 20, "test_per_class": 10},
+            hidden=(12, 10), base=toy_hp(), grid={"lr": [0.05]}, seeds=(0,),
+        )
+        r = run_seed(config, 0).report
+        assert len(r.zero_shot) == 3
+        assert r.violations > 0
+
     def test_je_on_integer_stream_rejected(self):
         with pytest.raises(ConfigurationError, match="integer task ids"):
             run_seed(self.config(learner="agem-je"), 0)

@@ -113,3 +113,8 @@ def test_drop_zero_rows():
     kept = drop_zero_rows(G)
     assert kept.shape == (2, 2)
     assert np.array_equal(kept, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def test_drop_zero_rows_returns_input_when_nothing_dropped():
+    G = np.array([[1.0, 0.0], [0.0, 2.0]])
+    assert drop_zero_rows(G) is G
