@@ -10,6 +10,7 @@ the update rules can be tested in isolation.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -72,46 +73,118 @@ def batch_loss_and_grad(model: Model, batch: Batch, descriptors: dict):
 def mixed_loss_and_grad(model: Model, mixed: MixedBatch, descriptors: dict):
     """Mean loss/grad over a batch spanning several tasks (per-example mean).
 
-    One trunk forward/backward covers all examples; only the logits and
-    head (or attribute-table) gradients are computed per task, so the cost
-    does not grow with the number of tasks represented in the batch.
+    Equal, bit for bit, to a loop over the batch's tasks in ascending id
+    that scores each task's rows with that task's head and weights the
+    task's mean loss and gradient by its share n_t / n of the batch.
+    The trunk forward and backward run once, over the rows in the batch's
+    own order: trunk weight gradients are sums over rows, so reordering the
+    rows would change their round-off.  For the head, the rows are sorted
+    once (stable) by class count, then task id, so each task owns one
+    contiguous group.  Per group run only the matmuls whose shapes depend
+    on the group (logits, the head or table gradient, d(loss)/d(trunk
+    output)) and the group's mean loss (numpy's pairwise sum; the exact
+    batched form, a zero-seeded ``np.add.reduceat``, measured slower).
+    Softmax, cross-entropy and the loop's scaling (divide by n_t, then
+    multiply by n_t / n) run once over all rows with the same class count,
+    row by row.  The loss and the table gradient are summed over
+    tasks in ascending id, as the loop sums them.  Labels outside a task's
+    classes raise ``ConfigurationError``.
     """
     n = len(mixed)
     if n == 0:
         raise ConfigurationError("empty mixed batch")
-    lay = nn.layout(model.arch)
+    arch = model.arch
+    lay = nn.layout(arch)
+    per_task = arch.head_mode == nn.PER_TASK
     pres, posts = nn.trunk_forward(model, mixed.x)
-    phi = posts[-1]
+    order = np.argsort(mixed.tasks, kind="stable")
+    row_tasks = mixed.tasks[order]
+    firsts = np.flatnonzero(np.concatenate(([True], row_tasks[1:] != row_tasks[:-1])))
+    tasks = row_tasks[firsts].tolist()
+    counts = np.diff(np.append(firsts, n)).tolist()
+    if per_task:
+        heads = [model._head(t) for t in tasks]
+        widths = [c for _, _, c in heads]
+    else:
+        descs = [check_descriptor(model, descriptors[t]) for t in tasks]
+        widths = [len(d) for d in descs]
+        table = model.theta[lay.table].reshape(arch.attr_count, arch.table_dim)
+        table_terms = np.empty((len(tasks), *table.shape))
+    groups = sorted(range(len(tasks)), key=widths.__getitem__)   # stable: ascending id per width
+    if min(widths) < max(widths):               # else the stable sort below is the identity
+        order = order[np.argsort(np.repeat(widths, counts), kind="stable")]
+    sizes = [counts[k] for k in groups]
+    bounds = [0, *itertools.accumulate(sizes)]
+    labels = mixed.y[order]
+    h = posts[-1][order]
     grad = np.zeros_like(model.theta)
-    d_hidden = np.zeros_like(phi)
-    total = 0.0
-    table = None
-    if model.arch.head_mode == nn.JOINT_EMBEDDING:
-        table = model.theta[lay.table].reshape(model.arch.attr_count, model.arch.table_dim)
-        table_grad = grad[lay.table].reshape(table.shape)
-    for t in np.unique(mixed.tasks):
-        rows = np.flatnonzero(mixed.tasks == t)
-        labels = mixed.y[rows]
-        if table is None:
-            w, b, classes = model._head(int(t))
-            W_head = model.theta[w].reshape(model.arch.trunk_dim, classes)
-            logits = phi[rows] @ W_head + model.theta[b]
-            loss_t, dlogits = nn.softmax_cross_entropy(logits, labels)
-            dlogits *= len(rows) / n     # group mean -> overall mean
-            grad[w] = (phi[rows].T @ dlogits).ravel()
-            grad[b] = dlogits.sum(axis=0)
-            d_hidden[rows] = dlogits @ W_head.T
+    losses = [0.0] * len(tasks)
+    spans = zip(groups, bounds, bounds[1:])
+    for C, block in itertools.groupby(spans, key=lambda span: widths[span[0]]):
+        ks, starts, stops = zip(*block)
+        lo, hi = starts[0], stops[-1]
+        rows = [slice(a, b) for a, b in zip(starts, stops)]
+        local = [slice(a - lo, b - lo) for a, b in zip(starts, stops)]
+        block_sizes = np.subtract(stops, starts)
+        # class matrices E_k (C x D): head weights transposed, or descriptor @ table
+        if per_task:
+            E = [model.theta[heads[k][0]].reshape(arch.trunk_dim, C).T for k in ks]
         else:
-            desc = np.asarray(descriptors[int(t)], dtype=np.float64)
-            class_emb = desc @ table
-            logits = phi[rows] @ class_emb.T
-            loss_t, dlogits = nn.softmax_cross_entropy(logits, labels)
-            dlogits *= len(rows) / n
-            table_grad += desc.T @ (dlogits.T @ phi[rows])
-            d_hidden[rows] = dlogits @ class_emb
-        total += (len(rows) / n) * loss_t
-    if table is not None:
-        grad[lay.table] = table_grad.ravel()
+            block_descs = np.stack([descs[k] for k in ks])
+            E = block_descs @ table
+        logits = np.empty((hi - lo, C))
+        for E_k, r, l in zip(E, rows, local):
+            np.matmul(h[r], E_k.T, out=logits[l])
+        if per_task:
+            bias_idx = np.repeat([heads[k][1].start for k in ks], block_sizes)
+            bias_idx = bias_idx[:, None] + np.arange(C)
+            logits += model.theta[bias_idx]
+        y = labels[lo:hi]
+        bad = (y < 0) | (y >= C)
+        if bad.any():
+            task = mixed.tasks[order[lo + bad.argmax()]]
+            raise ConfigurationError(f"labels out of range for task {task}")
+        # nn.softmax_cross_entropy, row by row, each row scaled by its own n_t
+        pick = (np.arange(hi - lo), y)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        total_exp = exp.sum(axis=1, keepdims=True)
+        picked = shifted[pick] - np.log(total_exp[:, 0])
+        dl = np.divide(exp, total_exp, out=exp)
+        dl[pick] -= 1.0
+        n_t = np.repeat(block_sizes, block_sizes)[:, None]
+        dl /= n_t
+        dl *= n_t / n
+        if not per_task:
+            inner = np.empty((len(ks), C, arch.table_dim))
+        for i, (k, E_k, r, l) in enumerate(zip(ks, E, rows, local)):
+            # ndarray.mean's own operations, so each task's loss keeps its bits
+            losses[k] = -(np.add.reduce(picked[l]) / (l.stop - l.start))
+            if per_task:
+                np.matmul(h[r].T, dl[l], out=grad[heads[k][0]].reshape(arch.trunk_dim, C))
+            else:
+                np.matmul(dl[l].T, h[r], out=inner[i])
+            # h[r] is not read again: it now receives d(loss)/d(h) for these rows
+            np.matmul(dl[l], E_k, out=h[r])
+        if per_task:
+            # adds each group's rows in row order, as dl.sum(axis=0) does for
+            # C > 1; at C == 1 every entry of dl is exactly zero
+            np.add.at(grad, bias_idx, dl)
+        else:
+            table_terms[list(ks)] = block_descs.transpose(0, 2, 1) @ inner
+    if not per_task:
+        table_grad = grad[lay.table].reshape(table.shape)
+        # one term at a time, the loop's order for any table shape (summing
+        # over axis 0 turns pairwise when the table has a single entry)
+        for term in table_terms:
+            table_grad += term
+    total = 0.0
+    for count, loss_t in zip(counts, losses):
+        total += (count / n) * loss_t
+    # back to the batch's row order, in the trunk output's own buffer: the
+    # backward pass reads the inputs of the trunk layers, never this output
+    d_hidden = posts[-1]
+    d_hidden[order] = h
     nn._backprop_trunk(model, pres, posts, d_hidden, grad)
     return total, grad
 
@@ -182,8 +255,8 @@ def agem_step(
 def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
     """GEM's constraint matrix: one loss-gradient row per stored task.
 
-    All rows come from one grouped pass.  The stored buffers are stacked
-    in ascending task order, so task k owns a contiguous range of rows; a
+    All rows come from one grouped pass over the memory's stacked store,
+    where task k owns a contiguous range of rows (ascending task order); a
     single trunk forward covers them all, each task's head (or attribute
     table) gradient is written straight into row k of one zero matrix, and
     the backward sweep propagates every row's delta with one matmul per
@@ -194,12 +267,12 @@ def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
     model = state.model
     arch = model.arch
     lay = nn.layout(arch)
-    buffers = per_task_batches(state.memory)
+    mem = state.memory
+    buffers = per_task_batches(mem)
     if not buffers:
         return np.zeros((0, lay.size))
-    bounds = np.cumsum([0] + [len(buf) for _, buf in buffers])
-    segments = [slice(bounds[k], bounds[k + 1]) for k in range(len(buffers))]
-    pres, posts = nn.trunk_forward(model, np.concatenate([buf.x for _, buf in buffers]))
+    segments = [slice(lo, hi) for lo, hi in zip(mem.bounds[:-1], mem.bounds[1:])]
+    pres, posts = nn.trunk_forward(model, mem.x)
     phi = posts[-1]
     G = np.zeros((len(buffers), lay.size))
     d = np.empty_like(phi)

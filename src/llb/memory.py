@@ -2,14 +2,20 @@
 
 Buffers are filled once, at each task boundary, by uniform sampling
 without replacement from that task's training data (the whole task if it
-fits).  Reference batches are drawn uniformly without replacement from
-the union of all buffers and keep each example's originating task id for
-head routing.
+fits).  All buffers live in one stacked store: inputs, labels, sample ids
+and the task id of every row, with rows in ascending task order, so each
+stored task owns one contiguous row range and ``per_task[t]`` holds views
+of that range.  The store is rebuilt once per task boundary and read
+everywhere else.  Reference batches are drawn uniformly without
+replacement from all stored rows and keep each example's originating task
+id for head routing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,44 +46,75 @@ class MixedBatch:
         return len(self.y)
 
 
-@dataclass
 class EpisodicMemory:
-    per_task_capacity: int
-    per_task: dict[int, TaskBuffer] = field(default_factory=dict)
+    """Every stored task's buffer, stacked into one store.
 
-    def __post_init__(self):
-        if self.per_task_capacity < 1:
+    ``x``, ``y``, ``ids`` and ``tasks`` hold one row per stored example,
+    in ascending task order; the k-th stored task (ascending id) owns rows
+    ``bounds[k]:bounds[k + 1]``.  ``per_task`` is a read-only mapping from
+    task id to a ``TaskBuffer`` of views into the store, so each example
+    is held once.  ``add`` is the only writer.
+    """
+
+    def __init__(self, per_task_capacity: int):
+        if per_task_capacity < 1:
             raise ConfigurationError("per-task capacity must be >= 1")
+        self.per_task_capacity = per_task_capacity
+        self._stack({})
 
     def __len__(self) -> int:
-        return sum(len(buf) for buf in self.per_task.values())
+        return len(self.y)
+
+    @property
+    def per_task(self) -> Mapping[int, TaskBuffer]:
+        return MappingProxyType(self._buffers)
+
+    def add(self, task_id: int, buffer: TaskBuffer) -> None:
+        """Stack ``buffer`` into the store as the rows of task ``task_id``."""
+        if task_id in self._buffers:
+            raise MemoryStateError(f"memory for task {task_id} already populated")
+        self._stack({**self._buffers, task_id: buffer})
 
     def copy(self) -> "EpisodicMemory":
-        return EpisodicMemory(
-            self.per_task_capacity,
-            {
-                t: TaskBuffer(b.x.copy(), b.y.copy(), b.ids.copy())
-                for t, b in self.per_task.items()
-            },
-        )
+        """An independent memory with the same rows (the store is copied)."""
+        other = EpisodicMemory(self.per_task_capacity)
+        other._stack(self._buffers)
+        return other
+
+    def _stack(self, buffers: dict[int, TaskBuffer]) -> None:
+        order = sorted(buffers)
+        parts = [buffers[t] for t in order]
+        sizes = [len(b) for b in parts]
+        self.bounds = np.cumsum([0] + sizes)
+        self.tasks = np.repeat(np.array(order, dtype=np.int64), sizes)
+        if parts:
+            # np.concatenate always allocates, so the store never aliases its inputs
+            self.x = np.concatenate([b.x for b in parts])
+            self.y = np.concatenate([b.y for b in parts])
+            self.ids = np.concatenate([b.ids for b in parts])
+        else:
+            self.x = np.empty((0, 0))
+            self.y = np.empty(0, dtype=np.int64)
+            self.ids = np.empty(0, dtype=np.int64)
+        self._buffers = {
+            t: TaskBuffer(self.x[lo:hi], self.y[lo:hi], self.ids[lo:hi])
+            for t, lo, hi in zip(order, self.bounds[:-1], self.bounds[1:])
+        }
 
 
 def update_eps_mem(
     mem: EpisodicMemory, task_dataset: TaskDataset, task_id: int, seed: int
 ) -> EpisodicMemory:
     """Store up to the per-task capacity of uniformly chosen training examples."""
-    if task_id in mem.per_task:
-        raise MemoryStateError(f"memory for task {task_id} already populated")
     n = len(task_dataset.train_y)
     m = mem.per_task_capacity
     if n <= m:
         idx = np.arange(n)
     else:
         idx = substream(seed, "memory", str(task_id)).choice(n, size=m, replace=False)
-    mem.per_task[task_id] = TaskBuffer(
-        task_dataset.train_x[idx].copy(),
-        task_dataset.train_y[idx].copy(),
-        task_dataset.train_ids[idx].copy(),
+    mem.add(
+        task_id,
+        TaskBuffer(task_dataset.train_x[idx], task_dataset.train_y[idx], task_dataset.train_ids[idx]),
     )
     return mem
 
@@ -87,35 +124,19 @@ def sample_ref_batch(
 ) -> MixedBatch | None:
     """min(size, stored) examples uniform without replacement over all buffers.
 
-    Returns None when the memory is empty; callers fall back to an
-    unconstrained step.
+    Index i of the draw is row i of the store, so one gather yields the
+    sampled rows in draw order.  Returns None when the memory is empty;
+    callers fall back to an unconstrained step.
     """
     total = len(mem)
     if total == 0:
         return None
     if isinstance(rng, (int, np.integer)):
         rng = substream(int(rng), "ref-batch")
-    tasks_sorted = sorted(mem.per_task)
-    sizes = np.array([len(mem.per_task[t]) for t in tasks_sorted])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    take = min(size, total)
-    idx = rng.choice(total, size=take, replace=False)
-    # gather only the sampled rows; buffers are never concatenated
-    which = np.searchsorted(offsets, idx, side="right") - 1
-    local = idx - offsets[which]
-    x = np.empty((take, mem.per_task[tasks_sorted[0]].x.shape[1]))
-    y = np.empty(take, dtype=np.int64)
-    t_out = np.empty(take, dtype=np.int64)
-    for pos, task in enumerate(tasks_sorted):
-        mask = which == pos
-        if mask.any():
-            buf = mem.per_task[task]
-            x[mask] = buf.x[local[mask]]
-            y[mask] = buf.y[local[mask]]
-            t_out[mask] = task
-    return MixedBatch(x, y, t_out)
+    idx = rng.choice(total, size=min(size, total), replace=False)
+    return MixedBatch(mem.x[idx], mem.y[idx], mem.tasks[idx])
 
 
 def per_task_batches(mem: EpisodicMemory) -> list[tuple[int, TaskBuffer]]:
     """One (task id, full buffer) entry per stored task, ascending task id."""
-    return [(t, mem.per_task[t]) for t in sorted(mem.per_task)]
+    return list(mem.per_task.items())

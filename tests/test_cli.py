@@ -29,6 +29,19 @@ TOY = {
 }
 
 
+TIMING_KEYS = ("mean_step_seconds", "step_seconds_by_task")
+
+
+def metric_content(report: dict) -> dict:
+    """report.json without its wall-clock fields."""
+
+    def strip(d):
+        return {k: v for k, v in d.items() if k not in TIMING_KEYS}
+
+    return {**report, "aggregate": strip(report["aggregate"]),
+            "reports": [strip(r) for r in report["reports"]]}
+
+
 @pytest.fixture
 def toy_config(tmp_path):
     path = tmp_path / "toy.json"
@@ -66,11 +79,15 @@ class TestRunCommand:
             assert os.path.exists(path)
 
     def test_parallel_jobs(self, toy_config, tmp_path, capsys):
-        out = str(tmp_path / "par")
-        assert main(["run", "--config", toy_config, "--seeds", "0,1",
-                     "--jobs", "2", "--out", out]) == 0
-        report = json.load(open(os.path.join(out, "report.json")))
-        assert [r["seed"] for r in report["reports"]] == [0, 1]
+        reports = {}
+        for jobs in (2, 1):
+            out = str(tmp_path / f"jobs{jobs}")
+            assert main(["run", "--config", toy_config, "--seeds", "0,1",
+                         "--jobs", str(jobs), "--out", out]) == 0
+            reports[jobs] = json.load(open(os.path.join(out, "report.json")))
+        assert [r["seed"] for r in reports[2]["reports"]] == [0, 1]
+        # the same metric content whether seeds run in workers or in-process
+        assert metric_content(reports[2]) == metric_content(reports[1])
 
     def test_unknown_learner_exit_2_lists_valid(self, toy_config, tmp_path, capsys):
         code = main(["run", "--config", toy_config, "--learner", "bogus",

@@ -180,6 +180,122 @@ class TestAGemStep:
         assert found > 0
 
 
+def per_task_loop_loss_and_grad(model, mixed, descriptors):
+    """Reference for the grouped head: one softmax and head pass per task."""
+    n = len(mixed)
+    lay = nn.layout(model.arch)
+    pres, posts = nn.trunk_forward(model, mixed.x)
+    phi = posts[-1]
+    grad = np.zeros_like(model.theta)
+    d_hidden = np.zeros_like(phi)
+    total = 0.0
+    table = None
+    if model.arch.head_mode == nn.JOINT_EMBEDDING:
+        table = model.theta[lay.table].reshape(model.arch.attr_count, model.arch.table_dim)
+        table_grad = grad[lay.table].reshape(table.shape)
+    for t in np.unique(mixed.tasks):
+        rows = np.flatnonzero(mixed.tasks == t)
+        labels = mixed.y[rows]
+        if table is None:
+            w, b, classes = model._head(int(t))
+            W_head = model.theta[w].reshape(model.arch.trunk_dim, classes)
+            logits = phi[rows] @ W_head + model.theta[b]
+            loss_t, dlogits = nn.softmax_cross_entropy(logits, labels)
+            dlogits *= len(rows) / n
+            grad[w] = (phi[rows].T @ dlogits).ravel()
+            grad[b] = dlogits.sum(axis=0)
+            d_hidden[rows] = dlogits @ W_head.T
+        else:
+            desc = np.asarray(descriptors[int(t)], dtype=np.float64)
+            class_emb = desc @ table
+            logits = phi[rows] @ class_emb.T
+            loss_t, dlogits = nn.softmax_cross_entropy(logits, labels)
+            dlogits *= len(rows) / n
+            table_grad += desc.T @ (dlogits.T @ phi[rows])
+            d_hidden[rows] = dlogits @ class_emb
+        total += (len(rows) / n) * loss_t
+    if table is not None:
+        grad[lay.table] = table_grad.ravel()
+    nn._backprop_trunk(model, pres, posts, d_hidden, grad)
+    return total, grad
+
+
+def mixed_setup(head_mode, class_counts, seed, dim=7, hidden=(11, 10), attrs=13):
+    """A model with one head (or descriptor) per entry of ``class_counts``."""
+    rng = np.random.default_rng(seed)
+    task_ids = [3 * k + 2 for k in range(len(class_counts))]   # not 0..T-1
+    if head_mode == nn.PER_TASK:
+        arch = nn.Architecture(dim, hidden, tuple(zip(task_ids, class_counts)))
+        descriptors = dict(zip(task_ids, task_ids))
+    else:
+        arch = nn.Architecture(dim, hidden, head_mode=nn.JOINT_EMBEDDING, attr_count=attrs)
+        descriptors = {t: rng.integers(0, 2, size=(c, attrs)).astype(float) * rng.random((c, attrs))
+                       for t, c in zip(task_ids, class_counts)}
+    model = nn.init_model(arch, seed)
+    region = nn.layout(arch).head_region        # random heads: no zero or tied logits
+    model.theta[region] = rng.normal(size=region.stop - region.start)
+    return model, dict(zip(task_ids, class_counts)), descriptors, rng
+
+
+def mixed_batch(rng, classes_of, tasks, dim=7):
+    tasks = np.asarray(tasks, dtype=np.int64)
+    y = np.array([rng.integers(0, classes_of[int(t)]) for t in tasks], dtype=np.int64)
+    return MixedBatch(rng.normal(size=(len(tasks), dim)), y, tasks)
+
+
+HEAD_MODES = (nn.PER_TASK, nn.JOINT_EMBEDDING)
+
+
+class TestGroupedMixedHead:
+    """The grouped head against the per-task loop: equal bits, not a tolerance."""
+
+    def assert_exact(self, model, batch, descriptors):
+        loss, grad = mixed_loss_and_grad(model, batch, descriptors)
+        ref_loss, ref_grad = per_task_loop_loss_and_grad(model, batch, descriptors)
+        assert np.array_equal(loss, ref_loss)
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("head_mode", HEAD_MODES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interleaved_unsorted_tasks(self, head_mode, seed):
+        model, classes_of, descriptors, rng = mixed_setup(head_mode, [5, 5, 5, 5, 5], seed)
+        tasks = rng.choice(list(classes_of), size=int(rng.integers(20, 140)))
+        self.assert_exact(model, mixed_batch(rng, classes_of, tasks), descriptors)
+
+    @pytest.mark.parametrize("head_mode", HEAD_MODES)
+    def test_single_row_groups(self, head_mode):
+        model, classes_of, descriptors, rng = mixed_setup(head_mode, [4, 2, 9, 4, 1, 7], 1)
+        ids = list(classes_of)
+        for tasks in (ids[::-1], [ids[2], ids[0]], [ids[3]], ids[:3] + ids[4:] * 5):
+            self.assert_exact(model, mixed_batch(rng, classes_of, tasks), descriptors)
+
+    @pytest.mark.parametrize("head_mode", HEAD_MODES)
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 64])
+    def test_one_task(self, head_mode, rows):
+        model, classes_of, descriptors, rng = mixed_setup(head_mode, [3, 10], 2)
+        self.assert_exact(model, mixed_batch(rng, classes_of, [2] * rows), descriptors)
+
+    @pytest.mark.parametrize("head_mode", HEAD_MODES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unequal_class_counts(self, head_mode, seed):
+        # 1-class heads, and widths on both sides of numpy's 8-wide pairwise block
+        counts = [1, 3, 7, 8, 9, 12, 3, 1, 16]
+        model, classes_of, descriptors, rng = mixed_setup(head_mode, counts, seed)
+        tasks = rng.choice(list(classes_of), size=int(rng.integers(30, 200)))
+        self.assert_exact(model, mixed_batch(rng, classes_of, tasks), descriptors)
+
+    @pytest.mark.parametrize("head_mode", HEAD_MODES)
+    @pytest.mark.parametrize("label", [-1, 5, 6])
+    def test_out_of_range_label_names_task(self, head_mode, label):
+        from llb.errors import ConfigurationError
+
+        model, classes_of, descriptors, rng = mixed_setup(head_mode, [9, 5, 9], 3)
+        batch = mixed_batch(rng, classes_of, [2, 8, 5, 5, 2, 8])
+        batch.y[3] = label     # task 5 has 5 classes
+        with pytest.raises(ConfigurationError, match="labels out of range for task 5"):
+            mixed_loss_and_grad(model, batch, descriptors)
+
+
 class TestGemStep:
     def test_no_stored_tasks_is_vanilla(self):
         stream = small_stream()
@@ -308,9 +424,9 @@ class TestGroupedMemoryRows:
         arch = nn.Architecture(8, (10, 9), ((1, 10), (2, 1), (3, 10)))
         mem = EpisodicMemory(6)
         for task, classes in ((1, 10), (2, 1), (3, 10)):
-            mem.per_task[task] = TaskBuffer(
+            mem.add(task, TaskBuffer(
                 rng.normal(size=(6, 8)), rng.integers(0, classes, 6), np.arange(6) + 10 * task
-            )
+            ))
         state = LearnerState(model=nn.init_model(arch, 0), memory=mem,
                              descriptors={1: 1, 2: 2, 3: 3})
         self.assert_rows_match(state)
