@@ -13,31 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import (
-    JOINT_EMBEDDING,
-    Batch,
-    Model,
-    layout,
-    softmax_cross_entropy,
-    trunk_forward,
-    _backprop_trunk,
-)
+from .nn import JOINT_EMBEDDING, Batch, Head, Model, head_loss_and_grad, trunk_forward
 
 
-def _table(model: Model) -> np.ndarray:
-    lay = layout(model.arch)
-    if lay.table is None:
-        raise ConfigurationError("model has no attribute table (per-task head mode)")
-    return model.theta[lay.table].reshape(model.arch.attr_count, model.arch.table_dim)
-
-
-def check_descriptor(model: Model, descriptor: np.ndarray) -> np.ndarray:
-    desc = np.asarray(descriptor, dtype=np.float64)
-    if desc.ndim != 2 or desc.shape[1] != model.arch.attr_count:
-        raise ConfigurationError(
-            f"descriptor must be (C_k, {model.arch.attr_count}), got {desc.shape}"
-        )
-    return desc
+def _table_only(model: Model) -> None:
+    if model.arch.head_mode != JOINT_EMBEDDING:
+        raise ConfigurationError("the attribute-table head needs a joint-embedding model")
 
 
 def embed_task(descriptor: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -50,17 +31,16 @@ def embed_task(descriptor: np.ndarray, table: np.ndarray) -> np.ndarray:
     return descriptor @ table
 
 
+def _table_logits(model: Model, inputs: np.ndarray, descriptor, task=None) -> np.ndarray:
+    _table_only(model)
+    head = Head(model, task, descriptor)
+    _, posts = trunk_forward(model, inputs)
+    return head.logits(posts[-1])
+
+
 def je_forward(model: Model, batch: Batch, descriptor: np.ndarray) -> np.ndarray:
     """Logits (batch x C_k): trunk output against attribute-derived class embeddings."""
-    if model.arch.head_mode != JOINT_EMBEDDING:
-        raise ConfigurationError("je_forward requires a joint-embedding model")
-    if model.arch.table_dim != model.arch.trunk_dim:
-        raise ConfigurationError(
-            f"trunk output dim {model.arch.trunk_dim} != embedding dim {model.arch.table_dim}"
-        )
-    desc = check_descriptor(model, descriptor)
-    _, posts = trunk_forward(model, batch.inputs)
-    return posts[-1] @ embed_task(desc, _table(model)).T
+    return _table_logits(model, batch.inputs, descriptor, batch.task)
 
 
 def je_probabilities(model: Model, batch: Batch, descriptor: np.ndarray) -> np.ndarray:
@@ -74,29 +54,12 @@ def je_loss_and_grad(
     model: Model, batch: Batch, descriptor: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean CE and exact gradient w.r.t. trunk and attribute table jointly."""
-    if model.arch.head_mode != JOINT_EMBEDDING:
-        raise ConfigurationError("je_loss_and_grad requires a joint-embedding model")
-    desc = check_descriptor(model, descriptor)
-    if np.any(batch.labels < 0) or np.any(batch.labels >= desc.shape[0]):
-        raise ConfigurationError("labels out of range for descriptor")
-    lay = layout(model.arch)
-    table = _table(model)
-    pres, posts = trunk_forward(model, batch.inputs)
-    phi = posts[-1]
-    class_emb = desc @ table
-    logits = phi @ class_emb.T
-    loss, dlogits = softmax_cross_entropy(logits, batch.labels)
-    grad = np.zeros_like(model.theta)
-    # d/d(table) = desc^T @ (dlogits^T @ phi); rows of attributes absent from
-    # every class in the task stay exactly zero.
-    grad[lay.table] = (desc.T @ (dlogits.T @ phi)).ravel()
-    _backprop_trunk(model, pres, posts, dlogits @ class_emb, grad)
-    return float(loss), grad
+    _table_only(model)
+    return head_loss_and_grad(model, batch.inputs, batch.labels, batch.task, {batch.task: descriptor})
 
 
 def je_predict(model: Model, inputs: np.ndarray, descriptor: np.ndarray) -> np.ndarray:
-    batch = Batch(np.asarray(inputs, dtype=np.float64), np.zeros(len(inputs), dtype=int), task=-1)
-    return je_forward(model, batch, descriptor).argmax(axis=1)
+    return _table_logits(model, inputs, descriptor).argmax(axis=1)
 
 
 def zero_shot_eval(model: Model, task_dataset) -> float:

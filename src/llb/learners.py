@@ -10,7 +10,6 @@ the update rules can be tested in isolation.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -19,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .embedding import check_descriptor, je_loss_and_grad
-from .errors import ConfigurationError, NumericError
+from .embedding import je_loss_and_grad
+from .errors import ConfigurationError
 from .memory import EpisodicMemory, MixedBatch, per_task_batches, sample_ref_batch, update_eps_mem
 from .nn import Batch, Model, apply_update, loss_and_grad
 from .qp import DualProblem, drop_zero_rows, reconstruct, solve_nonneg_qp
@@ -74,119 +73,10 @@ def mixed_loss_and_grad(model: Model, mixed: MixedBatch, descriptors: dict):
     """Mean loss/grad over a batch spanning several tasks (per-example mean).
 
     Equal, bit for bit, to a loop over the batch's tasks in ascending id
-    that scores each task's rows with that task's head and weights the
-    task's mean loss and gradient by its share n_t / n of the batch.
-    The trunk forward and backward run once, over the rows in the batch's
-    own order: trunk weight gradients are sums over rows, so reordering the
-    rows would change their round-off.  For the head, the rows are sorted
-    once (stable) by class count, then task id, so each task owns one
-    contiguous group.  Per group run only the matmuls whose shapes depend
-    on the group (logits, the head or table gradient, d(loss)/d(trunk
-    output)) and the group's mean loss (numpy's pairwise sum; the exact
-    batched form, a zero-seeded ``np.add.reduceat``, measured slower).
-    Softmax, cross-entropy and the loop's scaling (divide by n_t, then
-    multiply by n_t / n) run once over all rows with the same class count,
-    row by row.  The loss and the table gradient are summed over
-    tasks in ascending id, as the loop sums them.  Labels outside a task's
-    classes raise ``ConfigurationError``.
+    that weights each task's mean loss and gradient by its share of the
+    batch (see ``nn.head_loss_and_grad``).
     """
-    n = len(mixed)
-    if n == 0:
-        raise ConfigurationError("empty mixed batch")
-    arch = model.arch
-    lay = nn.layout(arch)
-    per_task = arch.head_mode == nn.PER_TASK
-    pres, posts = nn.trunk_forward(model, mixed.x)
-    order = np.argsort(mixed.tasks, kind="stable")
-    row_tasks = mixed.tasks[order]
-    firsts = np.flatnonzero(np.concatenate(([True], row_tasks[1:] != row_tasks[:-1])))
-    tasks = row_tasks[firsts].tolist()
-    counts = np.diff(np.append(firsts, n)).tolist()
-    if per_task:
-        heads = [model._head(t) for t in tasks]
-        widths = [c for _, _, c in heads]
-    else:
-        descs = [check_descriptor(model, descriptors[t]) for t in tasks]
-        widths = [len(d) for d in descs]
-        table = model.theta[lay.table].reshape(arch.attr_count, arch.table_dim)
-        table_terms = np.empty((len(tasks), *table.shape))
-    groups = sorted(range(len(tasks)), key=widths.__getitem__)   # stable: ascending id per width
-    if min(widths) < max(widths):               # else the stable sort below is the identity
-        order = order[np.argsort(np.repeat(widths, counts), kind="stable")]
-    sizes = [counts[k] for k in groups]
-    bounds = [0, *itertools.accumulate(sizes)]
-    labels = mixed.y[order]
-    h = posts[-1][order]
-    grad = np.zeros_like(model.theta)
-    losses = [0.0] * len(tasks)
-    spans = zip(groups, bounds, bounds[1:])
-    for C, block in itertools.groupby(spans, key=lambda span: widths[span[0]]):
-        ks, starts, stops = zip(*block)
-        lo, hi = starts[0], stops[-1]
-        rows = [slice(a, b) for a, b in zip(starts, stops)]
-        local = [slice(a - lo, b - lo) for a, b in zip(starts, stops)]
-        block_sizes = np.subtract(stops, starts)
-        # class matrices E_k (C x D): head weights transposed, or descriptor @ table
-        if per_task:
-            E = [model.theta[heads[k][0]].reshape(arch.trunk_dim, C).T for k in ks]
-        else:
-            block_descs = np.stack([descs[k] for k in ks])
-            E = block_descs @ table
-        logits = np.empty((hi - lo, C))
-        for E_k, r, l in zip(E, rows, local):
-            np.matmul(h[r], E_k.T, out=logits[l])
-        if per_task:
-            bias_idx = np.repeat([heads[k][1].start for k in ks], block_sizes)
-            bias_idx = bias_idx[:, None] + np.arange(C)
-            logits += model.theta[bias_idx]
-        y = labels[lo:hi]
-        bad = (y < 0) | (y >= C)
-        if bad.any():
-            task = mixed.tasks[order[lo + bad.argmax()]]
-            raise ConfigurationError(f"labels out of range for task {task}")
-        # nn.softmax_cross_entropy, row by row, each row scaled by its own n_t
-        pick = (np.arange(hi - lo), y)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        total_exp = exp.sum(axis=1, keepdims=True)
-        picked = shifted[pick] - np.log(total_exp[:, 0])
-        dl = np.divide(exp, total_exp, out=exp)
-        dl[pick] -= 1.0
-        n_t = np.repeat(block_sizes, block_sizes)[:, None]
-        dl /= n_t
-        dl *= n_t / n
-        if not per_task:
-            inner = np.empty((len(ks), C, arch.table_dim))
-        for i, (k, E_k, r, l) in enumerate(zip(ks, E, rows, local)):
-            # ndarray.mean's own operations, so each task's loss keeps its bits
-            losses[k] = -(np.add.reduce(picked[l]) / (l.stop - l.start))
-            if per_task:
-                np.matmul(h[r].T, dl[l], out=grad[heads[k][0]].reshape(arch.trunk_dim, C))
-            else:
-                np.matmul(dl[l].T, h[r], out=inner[i])
-            # h[r] is not read again: it now receives d(loss)/d(h) for these rows
-            np.matmul(dl[l], E_k, out=h[r])
-        if per_task:
-            # adds each group's rows in row order, as dl.sum(axis=0) does for
-            # C > 1; at C == 1 every entry of dl is exactly zero
-            np.add.at(grad, bias_idx, dl)
-        else:
-            table_terms[list(ks)] = block_descs.transpose(0, 2, 1) @ inner
-    if not per_task:
-        table_grad = grad[lay.table].reshape(table.shape)
-        # one term at a time, the loop's order for any table shape (summing
-        # over axis 0 turns pairwise when the table has a single entry)
-        for term in table_terms:
-            table_grad += term
-    total = 0.0
-    for count, loss_t in zip(counts, losses):
-        total += (count / n) * loss_t
-    # back to the batch's row order, in the trunk output's own buffer: the
-    # backward pass reads the inputs of the trunk layers, never this output
-    d_hidden = posts[-1]
-    d_hidden[order] = h
-    nn._backprop_trunk(model, pres, posts, d_hidden, grad)
-    return total, grad
+    return nn.head_loss_and_grad(model, mixed.x, mixed.y, mixed.tasks, descriptors)
 
 
 # ---------------------------------------------------------------------------
@@ -257,60 +147,35 @@ def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
 
     All rows come from one grouped pass over the memory's stacked store,
     where task k owns a contiguous range of rows (ascending task order); a
-    single trunk forward covers them all, each task's head (or attribute
-    table) gradient is written straight into row k of one zero matrix, and
-    the backward sweep propagates every row's delta with one matmul per
-    layer while each task's weight and bias gradients land in its own row.
+    single trunk forward covers them all, each task's head adds its
+    gradient straight into row k of one zero matrix, and the backward
+    sweep propagates every row's delta with one matmul per layer while
+    each task's weight and bias gradients land in its own row.
     Row k equals ``batch_loss_and_grad`` over task k's full buffer.
     All-zero rows are dropped.
     """
     model = state.model
-    arch = model.arch
-    lay = nn.layout(arch)
     mem = state.memory
     buffers = per_task_batches(mem)
     if not buffers:
-        return np.zeros((0, lay.size))
+        return np.zeros((0, len(model.theta)))
     segments = [slice(lo, hi) for lo, hi in zip(mem.bounds[:-1], mem.bounds[1:])]
     pres, posts = nn.trunk_forward(model, mem.x)
     phi = posts[-1]
-    G = np.zeros((len(buffers), lay.size))
+    G = np.zeros((len(buffers), len(model.theta)))
     d = np.empty_like(phi)
-    table = None
-    if arch.head_mode == nn.JOINT_EMBEDDING:
-        table = model.theta[lay.table].reshape(arch.attr_count, arch.table_dim)
     for k, ((task, buf), rows) in enumerate(zip(buffers, segments)):
-        h = phi[rows]
-        if table is None:
-            w, b, classes = model._head(task)
-            W_head = model.theta[w].reshape(arch.trunk_dim, classes)
-            logits = h @ W_head + model.theta[b]
-        else:
-            desc = check_descriptor(model, state.descriptors[task])
-            classes = len(desc)
-            class_emb = desc @ table
-            logits = h @ class_emb.T
-        if np.any(buf.y < 0) or np.any(buf.y >= classes):
-            raise ConfigurationError(f"labels out of range for task {task}")
-        if not np.all(np.isfinite(logits)):
-            raise NumericError(f"non-finite logits for task {task}")
+        head = nn.Head(model, task, state.descriptors.get(task))
+        head.check_labels(buf.y)
+        logits = nn.check_logits(head.logits(phi[rows]), task)
         _, dlogits = nn.softmax_cross_entropy(logits, buf.y)
-        if table is None:
-            G[k, w] = (h.T @ dlogits).ravel()
-            G[k, b] = dlogits.sum(axis=0)
-            d[rows] = dlogits @ W_head.T
-        else:
-            G[k, lay.table] = (desc.T @ (dlogits.T @ h)).ravel()
-            d[rows] = dlogits @ class_emb
-    for idx in range(len(lay.trunk) - 1, -1, -1):
-        w, b, fan_in, fan_out = lay.trunk[idx]
-        d_pre = d * (pres[idx] > 0.0)
+        head.add_grad(phi[rows], dlogits, G[k])
+        head.input_grad(dlogits, out=d[rows])
+    for w, b, x, d_pre in nn.trunk_backward(model, pres, posts, d):
         for k, rows in enumerate(segments):
             # written straight into G: no per-task temporary of the layer's size
-            np.matmul(posts[idx][rows].T, d_pre[rows], out=G[k, w].reshape(fan_in, fan_out))
+            np.matmul(x[rows].T, d_pre[rows], out=G[k, w].reshape(x.shape[1], d_pre.shape[1]))
             G[k, b] = d_pre[rows].sum(axis=0)
-        if idx > 0:
-            d = d_pre @ model.theta[w].reshape(fan_in, fan_out).T
     return drop_zero_rows(G)
 
 
@@ -382,40 +247,18 @@ def per_example_squared_grads(model: Model, batch: Batch, descriptors: dict) -> 
     """Sum over examples of the squared per-example loss gradient.
 
     Uses the factorization (h_i d_j)^2 = h_i^2 d_j^2 for dense layers, so
-    no per-example loop is needed; agrees exactly with looping.
+    no per-example loop is needed; agrees with looping up to round-off.
     """
-    lay = nn.layout(model.arch)
+    head = nn.Head(model, batch.task, descriptors.get(batch.task))
+    head.check_labels(batch.labels)
     pres, posts = nn.trunk_forward(model, batch.inputs)
-    n = len(batch)
-    if model.arch.head_mode == nn.PER_TASK:
-        w, b, classes = model._head(batch.task)
-        W_head = model.theta[w].reshape(model.arch.trunk_dim, classes)
-        logits = posts[-1] @ W_head + model.theta[b]
-        _, dlogits = nn.softmax_cross_entropy(logits, batch.labels)
-        dlogits = dlogits * n  # per-example gradients, not the batch mean
-        out = np.zeros_like(model.theta)
-        out[w] = ((posts[-1] ** 2).T @ (dlogits**2)).ravel()
-        out[b] = (dlogits**2).sum(axis=0)
-        d = dlogits @ W_head.T
-    else:
-        desc = np.asarray(descriptors[batch.task], dtype=np.float64)
-        table = model.theta[lay.table].reshape(model.arch.attr_count, model.arch.table_dim)
-        class_emb = desc @ table
-        logits = posts[-1] @ class_emb.T
-        _, dlogits = nn.softmax_cross_entropy(logits, batch.labels)
-        dlogits = dlogits * n
-        out = np.zeros_like(model.theta)
-        u = dlogits @ desc  # (n, A): per-example attribute-space errors
-        out[lay.table] = ((u**2).T @ (posts[-1] ** 2)).ravel()
-        d = dlogits @ class_emb
-    for idx in range(len(lay.trunk) - 1, -1, -1):
-        w, b, fan_in, fan_out = lay.trunk[idx]
-        d_pre = d * (pres[idx] > 0.0)
-        out[w] += ((posts[idx] ** 2).T @ (d_pre**2)).ravel()
+    _, dlogits = nn.softmax_cross_entropy(head.logits(posts[-1]), batch.labels)
+    dlogits = dlogits * len(batch)  # per-example gradients, not the batch mean
+    out = np.zeros_like(model.theta)
+    head.add_squared_grad(posts[-1], dlogits, out)
+    for w, b, x, d_pre in nn.trunk_backward(model, pres, posts, head.input_grad(dlogits)):
+        out[w] += ((x**2).T @ (d_pre**2)).ravel()
         out[b] += (d_pre**2).sum(axis=0)
-        if idx > 0:
-            W = model.theta[w].reshape(fan_in, fan_out)
-            d = d_pre @ W.T
     return out
 
 

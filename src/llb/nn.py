@@ -5,12 +5,17 @@ gradient-space methods (projection, Fisher penalties, QP duals) can treat
 the model as a single point in R^P.  Per-task output heads occupy disjoint
 slices of the head region of ``theta``; in joint-embedding mode the head
 region is replaced by an attribute lookup table (see ``llb.embedding``).
+``Head`` is one task's classifier in either mode, and every loss,
+gradient and prediction goes through it: ``head_loss_and_grad`` is the
+one loss/gradient kernel and ``trunk_backward`` the one backward sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+
+import itertools
 
 import numpy as np
 
@@ -27,7 +32,7 @@ class Architecture:
 
     ``heads`` maps task id -> class count for per-task mode and must be
     empty in joint-embedding mode, where a single A x D attribute table
-    replaces all heads (D defaults to the last hidden width).
+    replaces all heads (D is the last hidden width).
     """
 
     input_dim: int
@@ -35,7 +40,6 @@ class Architecture:
     heads: tuple[tuple[int, int], ...] = ()
     head_mode: str = PER_TASK
     attr_count: int = 0
-    embed_dim: int | None = None
     activation: str = "relu"
 
     def __post_init__(self):
@@ -62,10 +66,6 @@ class Architecture:
     @property
     def trunk_dim(self) -> int:
         return self.hidden[-1]
-
-    @property
-    def table_dim(self) -> int:
-        return self.embed_dim if self.embed_dim is not None else self.trunk_dim
 
     @property
     def param_count(self) -> int:
@@ -105,7 +105,7 @@ def layout(arch: Architecture) -> _Layout:
             pos = b.stop
             heads[task] = (w, b, classes)
     else:
-        table = slice(pos, pos + arch.attr_count * arch.table_dim)
+        table = slice(pos, pos + arch.attr_count * arch.trunk_dim)
         pos = table.stop
     if pos > 2**31:
         raise ConfigurationError(f"parameter count {pos} too large")
@@ -203,47 +203,250 @@ def trunk_forward(model: Model, inputs: np.ndarray):
     return pres, posts
 
 
-def head_logits(model: Model, hidden: np.ndarray, task: int) -> np.ndarray:
-    w, b, classes = model._head(task)
-    W = model.theta[w].reshape(model.arch.trunk_dim, classes)
-    return hidden @ W + model.theta[b]
+class Head:
+    """One task's classifier over the trunk output h: logits = h @ E.T (+ bias).
+
+    E is the task's C x D class matrix.  With per-task heads it is a view
+    of the task's head weights (transposed) and the task's bias follows;
+    with the attribute table it is descriptor (C x A) @ table (A x D) and
+    there is no bias.  This is the one place that tells the two apart.
+    """
+
+    def __init__(self, model: Model, task: int, descriptor=None):
+        arch = model.arch
+        lay = layout(arch)
+        self.task = task
+        if lay.table is None:
+            w, b, classes = model._head(task)
+            self.params = (w, b)
+            self.E = model.theta[w].reshape(arch.trunk_dim, classes).T
+            self.bias = model.theta[b]
+            self.descriptor = None
+        else:
+            try:
+                desc = np.asarray(descriptor, dtype=np.float64)
+            except (TypeError, ValueError):     # ragged or non-numeric
+                desc = np.empty(0)
+            if desc.ndim != 2 or desc.shape[1] != arch.attr_count:
+                raise ConfigurationError(
+                    f"descriptor of task {task} must be (C_k, {arch.attr_count}), got {desc.shape}"
+                )
+            self.params = (lay.table,)
+            self.E = desc @ model.theta[lay.table].reshape(arch.attr_count, arch.trunk_dim)
+            self.bias = None
+            self.descriptor = desc
+
+    @property
+    def classes(self) -> int:
+        return len(self.E)
+
+    def check_labels(self, labels: np.ndarray) -> None:
+        if np.any(labels < 0) or np.any(labels >= self.classes):
+            raise ConfigurationError(f"labels out of range for task {self.task}")
+
+    def logits(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.matmul(h, self.E.T, out=out)
+        if self.bias is not None:
+            out += self.bias
+        return out
+
+    def input_grad(self, dlogits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """d(loss)/d(h) from d(loss)/d(logits)."""
+        return np.matmul(dlogits, self.E, out=out)
+
+    def add_grad(self, h: np.ndarray, dlogits: np.ndarray, grad: np.ndarray) -> None:
+        """Add d(loss)/d(this head's parameters) into ``grad`` (theta-shaped or a row of G)."""
+        if self.descriptor is None:
+            w, b = self.params
+            grad[w] += (h.T @ dlogits).ravel()
+            grad[b] += dlogits.sum(axis=0)
+        else:
+            # rows of attributes absent from every class of the task get exactly zero
+            (table,) = self.params
+            grad[table] += (self.descriptor.T @ (dlogits.T @ h)).ravel()
+
+    def add_squared_grad(self, h: np.ndarray, dlogits: np.ndarray, out: np.ndarray) -> None:
+        """Add the sum over rows of each row's squared parameter gradient.
+
+        ``dlogits`` holds per-example gradients; (h_i d_j)^2 = h_i^2 d_j^2
+        for each weight, so no per-example loop is needed.
+        """
+        if self.descriptor is None:
+            w, b = self.params
+            out[w] += ((h**2).T @ (dlogits**2)).ravel()
+            out[b] += (dlogits**2).sum(axis=0)
+        else:
+            (table,) = self.params
+            u = dlogits @ self.descriptor   # (n, A): per-example attribute-space errors
+            out[table] += ((u**2).T @ (h**2)).ravel()
+
+
+def check_logits(logits: np.ndarray, task) -> np.ndarray:
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite logits for task {task}")
+    return logits
 
 
 def forward(model: Model, batch: Batch) -> np.ndarray:
     """Logits (batch x C_task) for a per-task-head model."""
+    head = Head(model, batch.task)
     _, posts = trunk_forward(model, batch.inputs)
-    logits = head_logits(model, posts[-1], batch.task)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError(f"non-finite logits for task {batch.task}")
-    return logits
+    return check_logits(head.logits(posts[-1]), batch.task)
+
+
+def _softmax_rows(logits: np.ndarray, labels: np.ndarray):
+    """Per row, the label's log-probability and softmax minus the one-hot label.
+
+    Max-subtracted for stability.
+    """
+    pick = (np.arange(len(labels)), labels)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    logp = shifted[pick] - np.log(total[:, 0])
+    d = np.divide(exp, total, out=exp)
+    d[pick] -= 1.0
+    return logp, d
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean CE loss and d(loss)/d(logits); max-subtracted for stability."""
     n = len(labels)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    logp = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = -logp[np.arange(n), labels].mean()
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    logp, dlogits = _softmax_rows(logits, labels)
     dlogits /= n
-    return loss, dlogits
+    # ndarray.mean's own operations
+    return -(np.add.reduce(logp) / n), dlogits
 
 
-def _backprop_trunk(model: Model, pres, posts, d_hidden: np.ndarray, grad: np.ndarray) -> None:
-    """Accumulate trunk gradients into ``grad`` given d(loss)/d(trunk output)."""
+def trunk_backward(model: Model, pres, posts, d_hidden: np.ndarray):
+    """Yield (W slice, b slice, layer input, d(loss)/d(pre-activation)) per
+    trunk layer, top layer first, given d(loss)/d(trunk output).
+
+    A layer's weight gradient is its input's transpose times the delta:
+    summed over all rows for the mean gradient, over each task's rows for
+    GEM's constraint rows, and squared for the Fisher.
+    """
     lay = layout(model.arch)
     d = d_hidden
     for idx in range(len(lay.trunk) - 1, -1, -1):
         w, b, fan_in, fan_out = lay.trunk[idx]
         d_pre = d * (pres[idx] > 0.0)
-        grad[w] += (posts[idx].T @ d_pre).ravel()
-        grad[b] += d_pre.sum(axis=0)
+        yield w, b, posts[idx], d_pre
         if idx > 0:
-            W = model.theta[w].reshape(fan_in, fan_out)
-            d = d_pre @ W.T
+            d = d_pre @ model.theta[w].reshape(fan_in, fan_out).T
+
+
+def _backprop_trunk(model: Model, pres, posts, d_hidden: np.ndarray, grad: np.ndarray) -> None:
+    """Accumulate trunk gradients into ``grad`` given d(loss)/d(trunk output)."""
+    for w, b, x, d_pre in trunk_backward(model, pres, posts, d_hidden):
+        grad[w] += (x.T @ d_pre).ravel()
+        grad[b] += d_pre.sum(axis=0)
+
+
+def head_loss_and_grad(
+    model: Model, inputs: np.ndarray, labels: np.ndarray, tasks, descriptors: dict | None = None
+) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy and its exact gradient over all of theta.
+
+    Row i is scored by the head of task ``tasks[i]``; ``descriptors``
+    maps task id to descriptor for attribute-table models.  ``tasks`` may
+    be one id for the whole batch, which skips all grouping.  The loss is
+    a mean over rows, so each task weighs by its share of the batch, and
+    heads of tasks absent from the batch receive exactly zero gradient.
+    Labels outside a task's classes raise ``ConfigurationError``.
+    """
+    if len(labels) == 0:
+        raise ConfigurationError("empty batch")
+    descriptors = descriptors or {}
+    if np.ndim(tasks) != 0:
+        return _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors)
+    head = Head(model, tasks, descriptors.get(tasks))
+    head.check_labels(labels)
+    pres, posts = trunk_forward(model, inputs)
+    logits = check_logits(head.logits(posts[-1]), tasks)
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+    grad = np.zeros_like(model.theta)
+    head.add_grad(posts[-1], dlogits, grad)
+    _backprop_trunk(model, pres, posts, head.input_grad(dlogits), grad)
+    return float(loss), grad
+
+
+def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors):
+    """``head_loss_and_grad`` over a batch spanning several tasks.
+
+    Equal, bit for bit, to a loop over the batch's tasks in ascending id
+    that scores each task's rows with that task's head and weights the
+    task's mean loss and gradient by its share n_t / n of the batch.
+    The trunk forward and backward run once, over the rows in the batch's
+    own order: trunk weight gradients are sums over rows, so reordering the
+    rows would change their round-off.  For the head, the rows are sorted
+    once (stable) by class count, then task id, so each task owns one
+    contiguous range and all tasks with one class count one block.
+    Softmax, cross-entropy and the loop's scaling (divide by n_t, then
+    multiply by n_t / n) run once per block, row by row.  Per task run
+    only the matmuls whose shapes depend on the task (logits, the head
+    gradient, d(loss)/d(trunk output)) and the task's mean loss (numpy's
+    pairwise sum; the exact batched form, a zero-seeded ``np.add.reduceat``,
+    measured slower).  Losses and head gradients are added in ascending
+    task id, as the loop adds them (the attribute table is shared).
+    """
+    n = len(labels)
+    pres, posts = trunk_forward(model, inputs)
+    order = np.argsort(tasks, kind="stable")
+    row_tasks = tasks[order]
+    firsts = np.flatnonzero(np.concatenate(([True], row_tasks[1:] != row_tasks[:-1])))
+    heads = [Head(model, t, descriptors.get(t)) for t in row_tasks[firsts].tolist()]
+    counts = np.diff(np.append(firsts, n)).tolist()
+    widths = [head.classes for head in heads]
+    groups = sorted(range(len(heads)), key=widths.__getitem__)   # stable: ascending id per width
+    if min(widths) < max(widths):               # else the stable sort below is the identity
+        order = order[np.argsort(np.repeat(widths, counts), kind="stable")]
+    sizes = [counts[k] for k in groups]
+    bounds = [0, *itertools.accumulate(sizes)]
+    y = labels[order]
+    bad = (y < 0) | (y >= np.repeat([widths[k] for k in groups], sizes))
+    if bad.any():
+        raise ConfigurationError(f"labels out of range for task {tasks[order[bad.argmax()]]}")
+    h = posts[-1][order]
+    parts = [None] * len(heads)     # per task: (its rows of h, log-probabilities, dlogits)
+    spans = zip(groups, bounds, bounds[1:])
+    for C, block in itertools.groupby(spans, key=lambda span: widths[span[0]]):
+        ks, starts, stops = zip(*block)
+        lo, hi = starts[0], stops[-1]
+        local = [slice(a - lo, b - lo) for a, b in zip(starts, stops)]
+        logits = np.empty((hi - lo, C))
+        for k, a, b, l in zip(ks, starts, stops, local):
+            heads[k].logits(h[a:b], out=logits[l])
+        finite = np.isfinite(logits).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite logits for task {tasks[order[lo + finite.argmin()]]}")
+        logp, dl = _softmax_rows(logits, y[lo:hi])
+        block_sizes = np.subtract(stops, starts)
+        n_t = np.repeat(block_sizes, block_sizes)[:, None]
+        dl /= n_t
+        dl *= n_t / n
+        for k, a, b, l in zip(ks, starts, stops, local):
+            parts[k] = (slice(a, b), logp[l], dl[l])
+    grad = np.zeros_like(model.theta)
+    total = 0.0
+    for head, count, (rows, logp, dl) in zip(heads, counts, parts):
+        # ndarray.mean's own operations, so each task's loss keeps its bits
+        total += (count / n) * -(np.add.reduce(logp) / count)
+        head.add_grad(h[rows], dl, grad)
+        # h[rows] is not read again: it now receives d(loss)/d(h) for these rows
+        head.input_grad(dl, out=h[rows])
+    # back to the batch's row order, in the trunk output's own buffer: the
+    # backward pass reads the inputs of the trunk layers, never this output
+    d_hidden = posts[-1]
+    d_hidden[order] = h
+    _backprop_trunk(model, pres, posts, d_hidden, grad)
+    return total, grad
+
+
+def predict(model: Model, inputs: np.ndarray, task: int) -> np.ndarray:
+    head = Head(model, task)
+    _, posts = trunk_forward(model, inputs)
+    return head.logits(posts[-1]).argmax(axis=1)
 
 
 def loss_and_grad(model: Model, batch: Batch) -> tuple[float, np.ndarray]:
@@ -251,22 +454,7 @@ def loss_and_grad(model: Model, batch: Batch) -> tuple[float, np.ndarray]:
 
     Heads of tasks other than ``batch.task`` receive exactly zero gradient.
     """
-    if len(batch) == 0:
-        raise ConfigurationError("empty batch")
-    w, b, classes = model._head(batch.task)
-    if np.any(batch.labels < 0) or np.any(batch.labels >= classes):
-        raise ConfigurationError(f"labels out of range for task {batch.task}")
-    pres, posts = trunk_forward(model, batch.inputs)
-    W_head = model.theta[w].reshape(model.arch.trunk_dim, classes)
-    logits = posts[-1] @ W_head + model.theta[b]
-    if not np.all(np.isfinite(logits)):
-        raise NumericError(f"non-finite logits for task {batch.task}")
-    loss, dlogits = softmax_cross_entropy(logits, batch.labels)
-    grad = np.zeros_like(model.theta)
-    grad[w] = (posts[-1].T @ dlogits).ravel()
-    grad[b] = dlogits.sum(axis=0)
-    _backprop_trunk(model, pres, posts, dlogits @ W_head.T, grad)
-    return float(loss), grad
+    return head_loss_and_grad(model, batch.inputs, batch.labels, batch.task)
 
 
 def apply_update(model: Model, grad: np.ndarray, lr: float) -> Model:
@@ -278,17 +466,6 @@ def apply_update(model: Model, grad: np.ndarray, lr: float) -> Model:
     if lr <= 0:
         raise ConfigurationError("learning rate must be positive")
     return Model(model.arch, model.theta - lr * grad)
-
-
-def predict(model: Model, inputs: np.ndarray, task: int) -> np.ndarray:
-    _, posts = trunk_forward(model, inputs)
-    return head_logits(model, posts[-1], task).argmax(axis=1)
-
-
-def accuracy(model: Model, inputs: np.ndarray, labels: np.ndarray, task: int) -> float:
-    if len(labels) == 0:
-        raise ConfigurationError("empty evaluation set")
-    return float(np.mean(predict(model, inputs, task) == labels))
 
 
 def mlp(input_dim: int, hidden, class_counts, task_ids=None, **kw) -> Architecture:

@@ -174,12 +174,20 @@ def arch_for_stream(
 # evaluation
 
 
+def predict_task(model: nn.Model, inputs: np.ndarray, task: int, descriptor) -> np.ndarray:
+    """Predicted within-task class of each row: the task's own head, or the
+    attribute table scored through the task's descriptor."""
+    if model.arch.head_mode == nn.JOINT_EMBEDDING:
+        return je_predict(model, inputs, descriptor)
+    return nn.predict(model, inputs, task)
+
+
 def eval_accuracy(model: nn.Model, dataset: TaskDataset) -> float:
     """Exact accuracy over a task's full test split."""
-    if model.arch.head_mode == nn.JOINT_EMBEDDING:
-        preds = je_predict(model, dataset.test_x, dataset.descriptor)
-        return float(np.mean(preds == dataset.test_y))
-    return nn.accuracy(model, dataset.test_x, dataset.test_y, dataset.task_id)
+    if len(dataset.test_y) == 0:
+        raise ConfigurationError("empty evaluation set")
+    preds = predict_task(model, dataset.test_x, dataset.task_id, dataset.descriptor)
+    return float(np.mean(preds == dataset.test_y))
 
 
 def eval_all(
@@ -261,10 +269,7 @@ def run_single_pass(
         if trace.memory_tensor is not None and learner.state.memory is not None:
             trace.memory_tensor.batch_counts[task.task_id] = len(batches)
             for stored, buf in per_task_batches(learner.state.memory):
-                if learner.model.arch.head_mode == nn.JOINT_EMBEDDING:
-                    preds = je_predict(learner.model, buf.x, learner.state.descriptors[stored])
-                else:
-                    preds = nn.predict(learner.model, buf.x, stored)
+                preds = predict_task(learner.model, buf.x, stored, learner.state.descriptors[stored])
                 record(
                     trace.memory_tensor, task.task_id, len(batches), stored,
                     float(np.mean(preds == buf.y)),

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .embedding import je_loss_and_grad
 from .learners import agem_project
 from .metrics import AccuracyTensor, avg_accuracy, forgetting, lca, worst_case_forgetting
 from .oracles import (
@@ -72,41 +71,40 @@ def check_dual_qp(instances: int) -> tuple[bool, str]:
 
 
 def check_gradients(models: int) -> tuple[bool, str]:
+    """The loss/gradient kernel against central differences, cycling through
+    one-task and mixed multi-task batches with per-task heads and with the
+    attribute table; the tasks have unequal class counts, so mixed batches
+    run the grouped path with several blocks."""
     rng = np.random.default_rng(13)
+    counts = (3, 4, 2)
     worst = 0.0
     for i in range(models):
-        je = i % 2 == 1
+        je, mixed = i % 2 == 1, i % 4 >= 2
         if je:
-            arch = nn.Architecture(
-                6, (8, 5), head_mode=nn.JOINT_EMBEDDING, attr_count=4
-            )
+            arch = nn.Architecture(6, (8, 5), head_mode=nn.JOINT_EMBEDDING, attr_count=4)
+            descriptors = {
+                t: rng.integers(0, 2, size=(c, 4)).astype(float) for t, c in enumerate(counts, 1)
+            }
         else:
-            arch = nn.mlp(6, (8, 5), [3, 4])
+            arch = nn.mlp(6, (8, 5), counts)
+            descriptors = {}
         model = nn.init_model(arch, seed=int(rng.integers(1 << 30)))
-        x = rng.normal(size=(7, 6))
-        if je:
-            desc = rng.integers(0, 2, size=(3, 4)).astype(float)
-            y = rng.integers(0, 3, size=7)
-            batch = nn.Batch(x, y, task=1)
-            _, grad = je_loss_and_grad(model, batch, desc)
+        tasks = rng.permutation(np.repeat([1, 2, 3], 3)) if mixed else np.ones(7, dtype=np.int64)
+        y = np.array([rng.integers(0, counts[t - 1]) for t in tasks])
+        x = rng.normal(size=(len(y), 6))
+        routed = tasks if mixed else 1      # a single id takes the one-task path
 
-            def loss_fn(theta, m=model, b=batch, d=desc):
-                return je_loss_and_grad(nn.Model(m.arch, theta), b, d)[0]
+        def loss_and_grad(theta, arch=arch, x=x, y=y, tasks=routed, d=descriptors):
+            return nn.head_loss_and_grad(nn.Model(arch, theta), x, y, tasks, d)
 
-        else:
-            y = rng.integers(0, 3, size=7)
-            batch = nn.Batch(x, y, task=1)
-            _, grad = nn.loss_and_grad(model, batch)
-
-            def loss_fn(theta, m=model, b=batch):
-                return nn.loss_and_grad(nn.Model(m.arch, theta), b)[0]
-
+        _, grad = loss_and_grad(model.theta)
         coords = rng.choice(len(model.theta), size=min(150, len(model.theta)), replace=False)
-        fd = finite_diff_grad(loss_fn, model.theta, coords)
+        fd = finite_diff_grad(lambda theta: loss_and_grad(theta)[0], model.theta, coords)
         rel = np.linalg.norm(grad[coords] - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
         if rel > 1e-6:
-            return False, f"gradient mismatch {rel:.2e} on model {i}"
+            kind = ("mixed" if mixed else "one-task") + (" table" if je else " per-task")
+            return False, f"gradient mismatch {rel:.2e} on model {i} ({kind})"
     return True, f"{models} models, worst relative error {worst:.2e}"
 
 

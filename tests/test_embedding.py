@@ -77,12 +77,6 @@ class TestJeForward:
         with pytest.raises(ConfigurationError):
             je_forward(model, nn.Batch(np.zeros((2, 6)), np.zeros(2, dtype=int), 1), np.zeros((3, 4)))
 
-    def test_mismatched_embed_dim_rejected(self):
-        arch = nn.Architecture(6, (8, 5), head_mode=nn.JOINT_EMBEDDING, attr_count=4, embed_dim=7)
-        model = nn.init_model(arch, 0)
-        with pytest.raises(ConfigurationError, match="dim"):
-            je_forward(model, nn.Batch(np.zeros((2, 6)), np.zeros(2, dtype=int), 1), np.zeros((3, 4)))
-
 
 class TestJeLossAndGrad:
     def test_finite_difference_both_blocks(self):
@@ -113,7 +107,7 @@ class TestJeLossAndGrad:
         desc[:, 2] = 0.0  # attribute 2 absent from every class
         _, grad = je_loss_and_grad(model, random_batch(rng), desc)
         lay = nn.layout(arch)
-        table_grad = grad[lay.table].reshape(5, arch.table_dim)
+        table_grad = grad[lay.table].reshape(5, arch.trunk_dim)
         assert np.all(table_grad[2] == 0.0)
         assert np.any(table_grad[np.flatnonzero(desc.any(axis=0))] != 0.0)
 

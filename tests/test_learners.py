@@ -191,7 +191,7 @@ def per_task_loop_loss_and_grad(model, mixed, descriptors):
     total = 0.0
     table = None
     if model.arch.head_mode == nn.JOINT_EMBEDDING:
-        table = model.theta[lay.table].reshape(model.arch.attr_count, model.arch.table_dim)
+        table = model.theta[lay.table].reshape(model.arch.attr_count, model.arch.trunk_dim)
         table_grad = grad[lay.table].reshape(table.shape)
     for t in np.unique(mixed.tasks):
         rows = np.flatnonzero(mixed.tasks == t)
@@ -273,7 +273,13 @@ class TestGroupedMixedHead:
     @pytest.mark.parametrize("rows", [1, 7, 8, 9, 64])
     def test_one_task(self, head_mode, rows):
         model, classes_of, descriptors, rng = mixed_setup(head_mode, [3, 10], 2)
-        self.assert_exact(model, mixed_batch(rng, classes_of, [2] * rows), descriptors)
+        batch = mixed_batch(rng, classes_of, [2] * rows)
+        self.assert_exact(model, batch, descriptors)
+        # nn.loss_and_grad or je_loss_and_grad: the kernel's one-task path
+        loss, grad = batch_loss_and_grad(model, nn.Batch(batch.x, batch.y, 2), descriptors)
+        ref_loss, ref_grad = per_task_loop_loss_and_grad(model, batch, descriptors)
+        assert np.array_equal(loss, ref_loss)
+        assert np.array_equal(grad, ref_grad)
 
     @pytest.mark.parametrize("head_mode", HEAD_MODES)
     @pytest.mark.parametrize("seed", range(6))
@@ -293,6 +299,16 @@ class TestGroupedMixedHead:
         batch = mixed_batch(rng, classes_of, [2, 8, 5, 5, 2, 8])
         batch.y[3] = label     # task 5 has 5 classes
         with pytest.raises(ConfigurationError, match="labels out of range for task 5"):
+            mixed_loss_and_grad(model, batch, descriptors)
+
+    def test_non_finite_logits_name_task(self):
+        from llb.errors import NumericError
+
+        model, classes_of, descriptors, rng = mixed_setup(nn.PER_TASK, [9, 5, 9], 3)
+        _, b, _ = model._head(5)
+        model.theta[b] = np.inf
+        batch = mixed_batch(rng, classes_of, [2, 8, 5, 5, 2, 8])
+        with pytest.raises(NumericError, match="non-finite logits for task 5"):
             mixed_loss_and_grad(model, batch, descriptors)
 
 
@@ -608,6 +624,43 @@ class TestEwc:
             _, g = nn.loss_and_grad(state.model, single)
             slow += g**2
         assert np.allclose(fast, slow, atol=1e-10)
+
+
+    def test_per_example_squared_grads_match_loop_attribute_table(self):
+        from llb.embedding import je_loss_and_grad
+
+        model, classes_of, descriptors, rng = mixed_setup(nn.JOINT_EMBEDDING, [4, 6], 7)
+        batch = mixed_batch(rng, classes_of, [5] * 12)
+        fast = per_example_squared_grads(model, nn.Batch(batch.x, batch.y, 5), descriptors)
+        slow = np.zeros_like(fast)
+        for i in range(12):
+            single = nn.Batch(batch.x[i : i + 1], batch.y[i : i + 1], 5)
+            _, g = je_loss_and_grad(model, single, descriptors[5])
+            slow += g**2
+        table = nn.layout(model.arch).table
+        assert np.any(fast[table] != 0.0)
+        assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("head_mode", HEAD_MODES)
+    @pytest.mark.parametrize("label", [-1, 6, 7])
+    def test_per_example_squared_grads_label_out_of_range(self, head_mode, label):
+        from llb.errors import ConfigurationError
+
+        model, classes_of, descriptors, rng = mixed_setup(head_mode, [9, 6], 8)
+        batch = mixed_batch(rng, classes_of, [5] * 6)
+        batch.y[2] = label     # task 5 has 6 classes
+        with pytest.raises(ConfigurationError, match="labels out of range for task 5"):
+            per_example_squared_grads(model, nn.Batch(batch.x, batch.y, 5), descriptors)
+
+    @pytest.mark.parametrize("descriptor", [np.ones((6, 12)), np.ones(13), 5, None, [[1.0] * 13, [1.0]]])
+    def test_per_example_squared_grads_malformed_descriptor(self, descriptor):
+        from llb.errors import ConfigurationError
+
+        model, classes_of, descriptors, rng = mixed_setup(nn.JOINT_EMBEDDING, [9, 6], 8)
+        batch = mixed_batch(rng, classes_of, [5] * 6)
+        descriptors[5] = descriptor     # the table has 13 attributes
+        with pytest.raises(ConfigurationError, match="descriptor of task 5"):
+            per_example_squared_grads(model, nn.Batch(batch.x, batch.y, 5), descriptors)
 
 
 class TestMultitask:
