@@ -179,20 +179,15 @@ def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
     return drop_zero_rows(G)
 
 
-def gem_step(
-    state: LearnerState,
-    batch: Batch,
-    lr: float,
-    tol: float = 1e-7,
-    max_iter: int = 10_000,
-) -> LearnerState:
+def gem_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
     """Gradient step constrained per stored task, via the dual QP.
 
     The constraint matrix G is recomputed from the full buffers at every
     step, in one grouped pass (``_memory_gradient_rows``).  G g is formed
     once: it decides whether any constraint is violated and is the dual's
     linear term.  With no stored tasks (or all-zero memory gradients) this
-    is a plain step.
+    is a plain step.  The dual is solved exactly; a dual that does not
+    settle raises NumericError from ``solve_nonneg_qp``.
     """
     _, g = batch_loss_and_grad(state.model, batch, state.descriptors)
     G = _memory_gradient_rows(state) if state.memory else np.zeros((0, len(g)))
@@ -201,16 +196,7 @@ def gem_step(
         state.model = apply_update(state.model, g, lr)
         return state
     state.violation_count += 1
-    sol = solve_nonneg_qp(
-        DualProblem.from_gradients(G, g, linear=Gg), tol=tol, max_iter=max_iter
-    )
-    if not sol.converged:
-        log.warning(
-            "dual QP not converged after %d iterations (residual %.3e); "
-            "proceeding with best iterate",
-            sol.iterations,
-            sol.residual,
-        )
+    sol = solve_nonneg_qp(DualProblem.from_gradients(G, g, linear=Gg))
     state.model = apply_update(state.model, reconstruct(g, G, sol.v), lr)
     return state
 

@@ -2,9 +2,10 @@
 
 Everything here recomputes a quantity by a route disjoint from the
 library code it checks: finite differences instead of backprop, explicit
-triple loops instead of BLAS, exhaustive active-set enumeration and a
-generic NNLS solve instead of the projected-gradient dual, and direct
-re-summation of the accuracy log instead of the metric functions.
+triple loops instead of BLAS, exhaustive enumeration of every support and
+scipy's NNLS on G^T (``llb.qp`` imports nothing from scipy) instead of the
+active-set solve on the Gram matrix, and direct re-summation of the
+accuracy log instead of the metric functions.
 """
 
 from __future__ import annotations

@@ -9,9 +9,17 @@ after which the projection is reconstructed as  g~ = G^T v* + g.  The
 multipliers v are the Lagrange duals of the primal constraints
 <g~, g_k> >= 0, so v* = 0 exactly when no constraint is violated.
 
-Solved by projected gradient descent with step 1/L (L estimated by power
-iteration), followed by an active-set polish that solves the linear
-system on the support for near-exact complementary slackness.
+Solved exactly by one algorithm, the Lawson-Hanson active-set method.
+With Q = G G^T and c = G g, the variable whose gradient Q v + c is most
+negative enters the active set A; each iteration solves Q[A,A] z = -c[A],
+and a variable that z would turn negative leaves A (v steps toward z only
+until that variable reaches zero).  A variable enters only while its
+gradient is below minus a round-off bound.
+
+Rank deficiency: a zero row of G, a multiple of an active row or a linear
+combination of active rows has as its gradient the same combination of
+the active gradients, zero at round-off, so it never enters A; Q[A,A]
+stays nonsingular and no ridge is added to Q.
 """
 
 from __future__ import annotations
@@ -20,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
+
+# A variable enters the active set only while its gradient is below
+# -_ROUNDING (t + 1) (max|Q| sum(v) + max|c|): a bound, with margin, on the
+# rounding error of the gradient and on the residual of the last solve.
+_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -32,6 +45,8 @@ class DualProblem:
         q, lin = np.asarray(self.gram), np.asarray(self.linear)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or lin.shape != (q.shape[0],):
             raise ConfigurationError(f"bad dual shapes {q.shape}, {lin.shape}")
+        if not (np.isfinite(q).all() and np.isfinite(lin).all()):
+            raise NumericError("non-finite entry in the dual QP")
         if q.size and not np.allclose(q, q.T, atol=1e-9):
             raise ConfigurationError("Gram matrix is not symmetric within 1e-9")
 
@@ -45,11 +60,6 @@ class DualProblem:
         """
         G = np.atleast_2d(np.asarray(G, dtype=np.float64))
         gram = G @ G.T
-        # round-off can push tiny negative curvature into the Gram matrix
-        try:
-            np.linalg.cholesky(gram + 0.0)
-        except np.linalg.LinAlgError:
-            gram = gram + 1e-10 * np.eye(len(gram))
         if linear is None:
             linear = G @ np.asarray(g, dtype=np.float64)
         return cls(gram, linear)
@@ -61,87 +71,51 @@ class DualProblem:
 @dataclass
 class DualSolution:
     v: np.ndarray
-    iterations: int
-    residual: float
-    converged: bool
+    iterations: int   # linear solves on the active set
+    residual: float   # KKT residual of v
+    converged: bool   # always True: an unsettled active set raises
 
 
-def _power_iteration_l(gram: np.ndarray, iters: int = 100) -> float:
-    n = len(gram)
-    x = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(iters):
-        y = gram @ x
-        norm = np.linalg.norm(y)
-        if norm < 1e-30:
-            return 0.0
-        x = y / norm
-        lam = float(x @ gram @ x)
-    return lam
+def solve_nonneg_qp(problem: DualProblem) -> DualSolution:
+    """The exact dual optimum, by the Lawson-Hanson active-set method.
 
-
-def _kkt_residual(problem: DualProblem, v: np.ndarray, active_tol: float) -> float:
-    grad = problem.gram @ v + problem.linear
-    zero = v <= active_tol
-    res = 0.0
-    if zero.any():
-        res = max(res, float(np.max(-grad[zero], initial=0.0)))
-    if (~zero).any():
-        res = max(res, float(np.max(np.abs(grad[~zero]))))
-    return res
-
-
-def _polish(problem: DualProblem, v: np.ndarray, tol: float) -> np.ndarray:
-    """Re-solve on the support of v; keep the result only if it is valid."""
-    support = v > tol
-    if not support.any():
-        return v
-    sub = problem.gram[np.ix_(support, support)]
-    rhs = -problem.linear[support]
-    try:
-        u_s = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return v
-    if np.any(u_s < -tol):
-        return v
-    u = np.zeros_like(v)
-    u[support] = np.maximum(u_s, 0.0)
-    if _kkt_residual(problem, u, tol) <= _kkt_residual(problem, v, tol) and (
-        problem.objective(u) <= problem.objective(v) + tol
-    ):
-        return u
-    return v
-
-
-def solve_nonneg_qp(
-    problem: DualProblem, tol: float = 1e-7, max_iter: int = 10_000
-) -> DualSolution:
-    """Projected gradient descent on the dual; KKT residual <= tol on success.
-
-    If max_iter is exhausted the best iterate is returned with
-    ``converged=False``.
+    ``iterations`` counts the linear solves on the active set.  An active
+    set that has not settled within 3t + 1 solves raises NumericError.
     """
-    n = len(problem.linear)
-    if n == 0:
-        return DualSolution(np.zeros(0), 0, 0.0, True)
-    L = _power_iteration_l(problem.gram)
-    if L <= 0.0:
-        # zero curvature: objective is linear; v=0 is optimal for linear >= 0
-        v = np.zeros(n)
-        res = _kkt_residual(problem, v, tol)
-        return DualSolution(v, 0, res, res <= tol)
-    step = 1.0 / L
+    q, c = problem.gram, problem.linear
+    n = len(c)
+    scale = _ROUNDING * (n + 1)
+    q_max, c_max = np.max(np.abs(q), initial=0.0), np.max(np.abs(c), initial=0.0)
     v = np.zeros(n)
-    it = 0
-    res = _kkt_residual(problem, v, tol)
-    while res > tol and it < max_iter:
-        v = np.maximum(v - step * (problem.gram @ v + problem.linear), 0.0)
-        it += 1
-        if it % 25 == 0 or it == max_iter:
-            res = _kkt_residual(problem, v, tol)
-    v = _polish(problem, v, tol)
-    res = _kkt_residual(problem, v, tol)
-    return DualSolution(v, it, res, res <= tol)
+    active = np.zeros(n, dtype=bool)
+    solves = 0
+    while True:
+        grad = q @ v + c
+        entering = ~active & (grad < -scale * (q_max * v.sum() + c_max))
+        if not entering.any():
+            break
+        active[np.flatnonzero(entering)[np.argmin(grad[entering])]] = True
+        while True:
+            if solves == 3 * n + 1:
+                raise NumericError(f"dual QP active set not settled after {solves} solves (t = {n})")
+            solves += 1
+            z = np.zeros(n)
+            # least squares: a nearly dependent row that got in still gets a bounded z
+            z[active] = np.linalg.lstsq(q[np.ix_(active, active)], -c[active], rcond=None)[0]
+            blocking = active & (z < 0.0)
+            if not blocking.any():
+                v = z
+                break
+            # step from v toward z until the first variable reaches zero; it leaves
+            ratio = np.full(n, np.inf)
+            ratio[blocking] = v[blocking] / (v[blocking] - z[blocking])
+            leaving = int(np.argmin(ratio))
+            v = v + ratio[leaving] * (z - v)
+            v[leaving] = 0.0
+            active &= v > 0.0
+            v[~active] = 0.0
+    residual = float(np.max(np.where(active, np.abs(grad), -grad), initial=0.0))
+    return DualSolution(v, solves, residual, True)
 
 
 def reconstruct(g: np.ndarray, G: np.ndarray, v: np.ndarray) -> np.ndarray:

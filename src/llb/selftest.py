@@ -49,13 +49,18 @@ def check_projection(pairs: int) -> tuple[bool, str]:
 
 
 def check_dual_qp(instances: int) -> tuple[bool, str]:
+    """The dual QP against enumeration, cycling through full-rank G and G
+    with a duplicated or a negated row (rank-deficient Gram matrices)."""
     rng = np.random.default_rng(7)
     worst_obj = worst_feas = 0.0
-    for _ in range(instances):
+    for i in range(instances):
         t = int(rng.integers(1, 6))
         p = int(rng.integers(max(t, 2), 21))
         G = rng.normal(size=(t, p))
         g = rng.normal(size=p)
+        if i % 3:
+            row = G[int(rng.integers(0, t))]
+            G = np.vstack([G, row if i % 3 == 1 else -row])
         problem = DualProblem.from_gradients(G, g)
         sol = solve_nonneg_qp(problem)
         v_star = nonneg_qp_enumeration(problem)

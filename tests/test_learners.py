@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from llb.learners import (
 from llb.memory import EpisodicMemory, MixedBatch, sample_ref_batch, update_eps_mem
 from llb.oracles import finite_diff_grad, halfspace_projection_nnls
 from llb.protocol import HyperParams
+from llb.qp import DualProblem
 from llb.rng import substream
 from llb.streams import make_permuted_stream, minibatches, synthetic_mnist_base
 
@@ -379,6 +382,42 @@ class TestGemStep:
                 LearnerState(model=before, memory=mem, descriptors=state.descriptors)
             )
             assert np.min(rows @ applied) >= -1e-6
+
+
+    def test_no_solver_knobs(self):
+        assert list(inspect.signature(gem_step).parameters) == ["state", "batch", "lr"]
+        stream = small_stream()
+        state = fresh_state(stream, memory=EpisodicMemory(20))
+        batch = first_batch(stream.tasks[0])
+        for knob in ({"tol": 1e-7}, {"max_iter": 10_000}):
+            with pytest.raises(TypeError):
+                gem_step(state, batch, 0.05, **knob)
+
+    def test_unsettled_dual_raises(self, monkeypatch):
+        import llb.learners as learners
+        from llb.errors import NumericError
+
+        class NegatedGram(DualProblem):
+            # -G G^T is not PSD: the active set cycles until the solve cap
+            @classmethod
+            def from_gradients(cls, G, g, linear=None):
+                dual = DualProblem.from_gradients(G, g, linear)
+                return DualProblem(-dual.gram, dual.linear)
+
+        monkeypatch.setattr(learners, "DualProblem", NegatedGram)
+        stream = small_stream(T=3, n=60)
+        mem = EpisodicMemory(30)
+        update_eps_mem(mem, stream.tasks[0], 1, seed=0)
+        update_eps_mem(mem, stream.tasks[1], 2, seed=0)
+        state = fresh_state(stream, memory=mem, seed=4)
+        theta = None
+        with pytest.raises(NumericError, match="not settled"):
+            for batch in minibatches(stream.tasks[2], 5, 5):
+                theta = state.model.theta.copy()
+                gem_step(state, batch, 0.05)
+        # the first violated step raised and left theta as it was
+        assert state.violation_count == 1
+        assert np.array_equal(state.model.theta, theta)
 
 
 class TestGroupedMemoryRows:
