@@ -59,6 +59,7 @@ from .protocol import (
 from .qp import DualProblem, DualSolution, reconstruct, solve_nonneg_qp
 from .streams import (
     Continuum,
+    Rows,
     TaskDataset,
     load_mnist_idx,
     make_permuted_stream,

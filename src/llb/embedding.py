@@ -74,5 +74,5 @@ def zero_shot_eval(model: Model, task_dataset) -> float:
             "zero-shot evaluation needs an attribute descriptor, "
             f"got integer descriptor {desc!r}"
         )
-    preds = je_predict(model, task_dataset.test_x, desc)
+    preds = je_predict(model, task_dataset.test_x[:], desc)
     return float(np.mean(preds == task_dataset.test_y))

@@ -426,21 +426,28 @@ def multitask_train(
 ) -> tuple[Model, dict[int, int]]:
     """Upper-bound baseline: one shuffled single pass over all tasks' data.
 
-    Returns the trained model and the per-example visit counts (each
-    should be exactly 1).
+    Each shuffled batch is gathered from its tasks' rows, so the pooled
+    inputs are never materialized.  Returns the trained model and the
+    per-example visit counts (each should be exactly 1).
     """
     descriptors = {t.task_id: t.descriptor for t in tasks}
-    x = np.concatenate([t.train_x for t in tasks])
     y = np.concatenate([t.train_y for t in tasks])
     task_of = np.concatenate(
         [np.full(len(t.train_y), t.task_id, dtype=np.int64) for t in tasks]
     )
+    # example i of the pooled stream is row local[i] of tasks[source[i]]
+    source = np.concatenate([np.full(len(t.train_y), k) for k, t in enumerate(tasks)])
+    local = np.concatenate([np.arange(len(t.train_y)) for t in tasks])
     ids = np.concatenate([t.train_ids for t in tasks])
     order = substream(seed, "shuffle", "multitask").permutation(len(y))
     visits: dict[int, int] = {}
     for start in range(0, len(order), hp.batch_size):
         idx = order[start : start + hp.batch_size]
-        mixed = MixedBatch(x[idx], y[idx], task_of[idx])
+        x = np.empty((len(idx), tasks[0].train_x.shape[1]))
+        for k in np.unique(source[idx]):
+            sel = source[idx] == k
+            x[sel] = tasks[k].train_x[local[idx[sel]]]
+        mixed = MixedBatch(x, y[idx], task_of[idx])
         _, grad = mixed_loss_and_grad(model, mixed, descriptors)
         model = apply_update(model, grad, hp.lr)
         for i in ids[idx]:

@@ -182,11 +182,19 @@ def predict_task(model: nn.Model, inputs: np.ndarray, task: int, descriptor) -> 
     return nn.predict(model, inputs, task)
 
 
-def eval_accuracy(model: nn.Model, dataset: TaskDataset) -> float:
-    """Exact accuracy over a task's full test split."""
+def eval_accuracy(
+    model: nn.Model, dataset: TaskDataset, test_x: np.ndarray | None = None
+) -> float:
+    """Exact accuracy over a task's full test split.
+
+    ``test_x`` is the split's inputs when the caller has already gathered
+    them; otherwise they are gathered here.
+    """
     if len(dataset.test_y) == 0:
         raise ConfigurationError("empty evaluation set")
-    preds = predict_task(model, dataset.test_x, dataset.task_id, dataset.descriptor)
+    if test_x is None:
+        test_x = dataset.test_x[:]
+    preds = predict_task(model, test_x, dataset.task_id, dataset.descriptor)
     return float(np.mean(preds == dataset.test_y))
 
 
@@ -244,7 +252,9 @@ def run_single_pass(
 
     for task in tasks:
         learner.register_task(task)
-        record(tensor, task.task_id, 0, task.task_id, eval_accuracy(learner.model, task))
+        # gathered once for the 1 + beta own-task evaluations at the cadence
+        test_x = task.test_x[:]
+        record(tensor, task.task_id, 0, task.task_id, eval_accuracy(learner.model, task, test_x))
         batches = minibatches(task, hp.batch_size, seed, hp.epochs)
         secs0, steps0 = learner.state.step_seconds, learner.state.step_count
         try:
@@ -255,7 +265,7 @@ def run_single_pass(
                 if i <= hp.beta:
                     record(
                         tensor, task.task_id, i, task.task_id,
-                        eval_accuracy(learner.model, task),
+                        eval_accuracy(learner.model, task, test_x),
                     )
         except NumericError as exc:
             raise ProtocolError(

@@ -731,6 +731,27 @@ class TestMultitask:
         assert set(visits) == expected
         assert set(visits.values()) == {1}
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_per_batch_gather_equals_pooled_copy(self, seed):
+        # reference: the pooled loop that concatenates every task's inputs
+        stream = small_stream(T=3, n=35, seed=seed)
+        hp = HyperParams(lr=0.05, batch_size=6)
+        heads = tuple((t.task_id, t.num_classes) for t in stream.tasks)
+        arch = nn.Architecture(8, (10, 9), heads)
+        model, _ = multitask_train(nn.init_model(arch, seed), stream.tasks, hp, seed)
+        tasks = stream.tasks
+        x = np.concatenate([t.train_x[:] for t in tasks])
+        y = np.concatenate([t.train_y for t in tasks])
+        task_of = np.concatenate([np.full(len(t.train_y), t.task_id) for t in tasks])
+        descriptors = {t.task_id: t.descriptor for t in tasks}
+        twin = nn.init_model(arch, seed)
+        order = substream(seed, "shuffle", "multitask").permutation(len(y))
+        for start in range(0, len(order), 6):
+            idx = order[start : start + 6]
+            _, g = mixed_loss_and_grad(twin, MixedBatch(x[idx], y[idx], task_of[idx]), descriptors)
+            twin = nn.apply_update(twin, g, 0.05)
+        assert np.array_equal(model.theta, twin.theta)
+
 
 class TestLearnerObjects:
     def test_factory_rejects_unknown(self):

@@ -195,7 +195,7 @@ class TestStackedStore:
         for t, n in zip((4, 1, 3, 2), (30, 12, 25, 7)):
             task = make_task(n, task_id=t)
             k = min(n, 25)
-            separate += k * (task.train_x.itemsize * task.train_x.shape[1]
+            separate += k * (task.train_x.base.itemsize * task.train_x.shape[1]
                              + task.train_y.itemsize + task.train_ids.itemsize)
         assert counted == separate
 
@@ -217,4 +217,4 @@ class TestStackedStore:
     def test_store_does_not_alias_the_task_data(self):
         task = make_task(10)
         mem = update_eps_mem(EpisodicMemory(20), task, 1, seed=0)
-        assert not np.shares_memory(mem.x, task.train_x)
+        assert not np.shares_memory(mem.x, task.train_x.base)

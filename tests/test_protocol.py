@@ -111,6 +111,28 @@ class TestRunSinglePass:
         bk = trace.memory_tensor.batch_counts[second]
         assert (second, bk, first) in trace.memory_tensor.entries
 
+    def test_own_task_test_split_gathered_once_per_task(self):
+        from llb.streams import Rows
+
+        class CountingRows(Rows):
+            __slots__ = ("gathers",)
+
+            def __getitem__(self, key):
+                self.gathers += 1
+                return super().__getitem__(key)
+
+        cont = toy_stream(T=4)
+        _, ev = split_cv_ev(cont)
+        for t in ev:
+            t.test_x = CountingRows(t.test_x.base, t.test_x.rows, t.test_x.perm)
+            t.test_x.gathers = 0
+        arch = arch_for_stream(cont, (6, 5), False)
+        hp = toy_hp(beta=3)
+        learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
+        run_single_pass(learner, ev, hp, 0, AccuracyTensor(order=[t.task_id for t in ev]))
+        # once for the 1 + beta cadence evaluations, once per task boundary
+        assert [t.test_x.gathers for t in ev] == [1 + len(ev)] * len(ev)
+
 
 class TestAudits:
     def test_single_pass_audit_detects_missing_visit(self):
