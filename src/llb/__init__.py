@@ -1,6 +1,6 @@
 """Single-pass lifelong-learning training engine and benchmark harness."""
 
-from .embedding import embed_task, je_forward, je_loss_and_grad, zero_shot_eval
+from .embedding import je_loss_and_grad, zero_shot_eval
 from .errors import (
     ConfigurationError,
     IdxFormatError,
@@ -25,7 +25,7 @@ from .learners import (
     sgem_step,
     vanilla_step,
 )
-from .memory import EpisodicMemory, per_task_batches, sample_ref_batch, update_eps_mem
+from .memory import EpisodicMemory, sample_ref_batch, update_eps_mem
 from .metrics import (
     AccuracyTensor,
     MetricsReport,
@@ -41,7 +41,6 @@ from .nn import (
     Batch,
     Model,
     apply_update,
-    forward,
     init_model,
     loss_and_grad,
     mlp,
@@ -52,7 +51,6 @@ from .protocol import (
     build_stream,
     cross_validate,
     eval_all,
-    run_experiment,
     run_seed,
     run_single_pass,
 )

@@ -17,9 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
-
-import numpy as np
+from dataclasses import asdict, replace
 
 from .errors import LlbError
 from .learners import LEARNER_NAMES
@@ -57,21 +55,47 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return d
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
+
+
+# config key -> (test of its JSON value, what the test wants)
+_CONFIG_VALUES = {
+    "learner": (lambda v: isinstance(v, str), "a string"),
+    "stream": (lambda v: isinstance(v, dict), "an object"),
+    "hidden": (_is_int_list, "a list of integers"),
+    "base": (lambda v: isinstance(v, dict), "an object"),
+    "grid": (
+        lambda v: isinstance(v, dict) and all(isinstance(x, (list, tuple)) for x in v.values()),
+        "an object of lists",
+    ),
+    "seeds": (_is_int_list, "a list of integers"),
+    "study_epochs": (_is_int, "an integer"),
+}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """An ``ExperimentConfig`` from its JSON form; a malformed one raises LlbError."""
     if not isinstance(data, dict):
         raise LlbError("config must be a JSON object")
-    known = {"learner", "stream", "hidden", "base", "grid", "seeds", "study_epochs"}
-    unknown = set(data) - known
+    unknown = set(data) - set(_CONFIG_VALUES)
     if unknown:
-        raise LlbError(f"unknown config key(s): {sorted(unknown)}; valid: {sorted(known)}")
+        raise LlbError(f"unknown config key(s): {sorted(unknown)}; valid: {sorted(_CONFIG_VALUES)}")
+    for key, value in data.items():
+        test, wanted = _CONFIG_VALUES[key]
+        if not test(value):
+            raise LlbError(f"config {key!r} must be {wanted}, got {value!r}")
     kwargs = dict(data)
-    if "base" in kwargs:
-        kwargs["base"] = HyperParams(**kwargs["base"])
-    if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(kwargs["hidden"])
-    if "seeds" in kwargs:
-        kwargs["seeds"] = tuple(kwargs["seeds"])
+    for key in ("hidden", "seeds"):
+        if key in kwargs:
+            kwargs[key] = tuple(kwargs[key])
     try:
+        if "base" in kwargs:
+            kwargs["base"] = HyperParams(**kwargs["base"])
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise LlbError(f"bad config: {exc}") from exc
@@ -182,28 +206,36 @@ def emit_report(
 # subcommands
 
 
+def _int_flag(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise LlbError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _load_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the command-line overrides applied;
+    a malformed file or flag raises LlbError."""
     data = {}
     if args.config:
         with open(args.config) as f:
-            data = json.load(f)
+            try:
+                data = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise LlbError(f"{args.config} is not valid JSON: {exc}") from None
     config = config_from_dict(data)
     overrides = {}
-    if getattr(args, "learner", None):
+    if args.learner:
         overrides["learner"] = args.learner
-    if getattr(args, "stream", None):
+    if args.stream:
         overrides["stream"] = {**config.stream, "kind": args.stream}
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if getattr(args, "hidden", None):
-        overrides["hidden"] = tuple(int(h) for h in args.hidden.split(","))
-    if getattr(args, "study_epochs", None):
+    if args.seeds:
+        overrides["seeds"] = _int_flag("--seeds", args.seeds)
+    if args.hidden:
+        overrides["hidden"] = _int_flag("--hidden", args.hidden)
+    if args.study_epochs:
         overrides["study_epochs"] = args.study_epochs
-    if overrides:
-        d = config_to_dict(config)
-        d.update({k: v if not isinstance(v, tuple) else list(v) for k, v in overrides.items()})
-        config = config_from_dict(d)
-    return config
+    return replace(config, **overrides)
 
 
 def cmd_run(args) -> int:
@@ -211,7 +243,6 @@ def cmd_run(args) -> int:
     if args.print_config:
         print(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
         return 0
-    _check_learner(config.learner)
     start = time.perf_counter()
     results = run_config_seeds(config, jobs=args.jobs)
     wall = time.perf_counter() - start
@@ -238,10 +269,7 @@ def cmd_grid(args) -> int:
         grid = {"lr": DEFAULT_LR_GRID}
         if base == "ewc":
             grid["lam"] = DEFAULT_REG_GRID
-        d = config_to_dict(config)
-        d["learner"] = name
-        d["grid"] = grid
-        sub = config_from_dict(d)
+        sub = replace(config, learner=name, grid=grid)
         start = time.perf_counter()
         results = run_config_seeds(sub, jobs=args.jobs)
         wall = time.perf_counter() - start
@@ -276,9 +304,7 @@ def cmd_compare(args) -> int:
     summary = {}
     start = time.perf_counter()
     for name in learners:
-        d = config_to_dict(config)
-        d["learner"] = name
-        sub = config_from_dict(d)
+        sub = replace(config, learner=name)
         results = run_config_seeds(sub, jobs=args.jobs)
         reports = [r.report for r in results]
         all_reports.extend(reports)
@@ -344,10 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LlbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (LlbError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,35 +21,6 @@ def _table_only(model: Model) -> None:
         raise ConfigurationError("the attribute-table head needs a joint-embedding model")
 
 
-def embed_task(descriptor: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Class embeddings (C_k x D) = descriptor (C_k x A) @ table (A x D)."""
-    descriptor = np.asarray(descriptor, dtype=np.float64)
-    if descriptor.ndim != 2 or descriptor.shape[1] != table.shape[0]:
-        raise ConfigurationError(
-            f"descriptor columns {descriptor.shape} do not match table rows {table.shape}"
-        )
-    return descriptor @ table
-
-
-def _table_logits(model: Model, inputs: np.ndarray, descriptor, task=None) -> np.ndarray:
-    _table_only(model)
-    head = Head(model, task, descriptor)
-    _, posts = trunk_forward(model, inputs)
-    return head.logits(posts[-1])
-
-
-def je_forward(model: Model, batch: Batch, descriptor: np.ndarray) -> np.ndarray:
-    """Logits (batch x C_k): trunk output against attribute-derived class embeddings."""
-    return _table_logits(model, batch.inputs, descriptor, batch.task)
-
-
-def je_probabilities(model: Model, batch: Batch, descriptor: np.ndarray) -> np.ndarray:
-    logits = je_forward(model, batch, descriptor)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def je_loss_and_grad(
     model: Model, batch: Batch, descriptor: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -59,7 +30,11 @@ def je_loss_and_grad(
 
 
 def je_predict(model: Model, inputs: np.ndarray, descriptor: np.ndarray) -> np.ndarray:
-    return _table_logits(model, inputs, descriptor).argmax(axis=1)
+    """Predicted class of each row, scored by the descriptor's class embeddings."""
+    _table_only(model)
+    head = Head(model, None, descriptor)
+    _, posts = trunk_forward(model, inputs)
+    return head.logits(posts[-1]).argmax(axis=1)
 
 
 def zero_shot_eval(model: Model, task_dataset) -> float:

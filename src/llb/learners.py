@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .embedding import je_loss_and_grad
 from .errors import ConfigurationError
-from .memory import EpisodicMemory, MixedBatch, per_task_batches, sample_ref_batch, update_eps_mem
+from .memory import EpisodicMemory, MixedBatch, sample_ref_batch, update_eps_mem
 from .nn import Batch, Model, apply_update, loss_and_grad
 from .qp import DualProblem, drop_zero_rows, reconstruct, solve_nonneg_qp
 from .rng import spawn_seed, substream
@@ -123,7 +123,7 @@ def agem_step(
     batch: Batch,
     lr: float,
     ref_size: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> LearnerState:
     """Gradient step constrained by the average memory gradient.
 
@@ -156,7 +156,7 @@ def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
     """
     model = state.model
     mem = state.memory
-    buffers = per_task_batches(mem)
+    buffers = list(mem.per_task.items())
     if not buffers:
         return np.zeros((0, len(model.theta)))
     segments = [slice(lo, hi) for lo, hi in zip(mem.bounds[:-1], mem.bounds[1:])]
@@ -205,7 +205,7 @@ def sgem_step(
     state: LearnerState,
     batch: Batch,
     lr: float,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> LearnerState:
     """Gradient step constrained by one uniformly sampled stored task."""
     _, g = batch_loss_and_grad(state.model, batch, state.descriptors)
@@ -213,8 +213,6 @@ def sgem_step(
     if not stored:
         state.model = apply_update(state.model, g, lr)
         return state
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng), "sgem-constraint")
     task = stored[int(rng.integers(0, len(stored)))]
     buf = state.memory.per_task[task]
     _, g_k = batch_loss_and_grad(state.model, Batch(buf.x, buf.y, task), state.descriptors)
@@ -350,7 +348,8 @@ class Learner:
         vanilla_step(self.state, batch, self.hp.lr)
 
     def end_task(self, dataset: TaskDataset) -> None:
-        pass
+        if self.state.memory is not None:
+            update_eps_mem(self.state.memory, dataset, dataset.task_id, self.seed)
 
     def timed_step(self, batch: Batch) -> None:
         start = time.perf_counter()
@@ -379,9 +378,6 @@ class AGemLearner(Learner):
     def step(self, batch: Batch) -> None:
         agem_step(self.state, batch, self.hp.lr, self.hp.ref_batch_size, self._ref_rng)
 
-    def end_task(self, dataset: TaskDataset) -> None:
-        update_eps_mem(self.state.memory, dataset, dataset.task_id, self.seed)
-
 
 class GemLearner(Learner):
     name = "gem"
@@ -390,9 +386,6 @@ class GemLearner(Learner):
     def step(self, batch: Batch) -> None:
         gem_step(self.state, batch, self.hp.lr)
 
-    def end_task(self, dataset: TaskDataset) -> None:
-        update_eps_mem(self.state.memory, dataset, dataset.task_id, self.seed)
-
 
 class SGemLearner(Learner):
     name = "sgem"
@@ -400,9 +393,6 @@ class SGemLearner(Learner):
 
     def step(self, batch: Batch) -> None:
         sgem_step(self.state, batch, self.hp.lr, self._constraint_rng)
-
-    def end_task(self, dataset: TaskDataset) -> None:
-        update_eps_mem(self.state.memory, dataset, dataset.task_id, self.seed)
 
 
 LEARNERS = {

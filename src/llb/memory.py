@@ -120,7 +120,7 @@ def update_eps_mem(
 
 
 def sample_ref_batch(
-    mem: EpisodicMemory, size: int, rng: np.random.Generator | int
+    mem: EpisodicMemory, size: int, rng: np.random.Generator
 ) -> MixedBatch | None:
     """min(size, stored) examples uniform without replacement over all buffers.
 
@@ -131,12 +131,5 @@ def sample_ref_batch(
     total = len(mem)
     if total == 0:
         return None
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng), "ref-batch")
     idx = rng.choice(total, size=min(size, total), replace=False)
     return MixedBatch(mem.x[idx], mem.y[idx], mem.tasks[idx])
-
-
-def per_task_batches(mem: EpisodicMemory) -> list[tuple[int, TaskBuffer]]:
-    """One (task id, full buffer) entry per stored task, ascending task id."""
-    return list(mem.per_task.items())

@@ -40,13 +40,10 @@ class Architecture:
     heads: tuple[tuple[int, int], ...] = ()
     head_mode: str = PER_TASK
     attr_count: int = 0
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.input_dim < 1 or any(h < 1 for h in self.hidden) or not self.hidden:
             raise ConfigurationError("all layer dimensions must be >= 1")
-        if self.activation != "relu":
-            raise ConfigurationError(f"unsupported activation {self.activation!r}")
         if self.head_mode == PER_TASK:
             if not self.heads:
                 raise ConfigurationError("per-task mode needs at least one head")
@@ -287,13 +284,6 @@ def check_logits(logits: np.ndarray, task) -> np.ndarray:
     return logits
 
 
-def forward(model: Model, batch: Batch) -> np.ndarray:
-    """Logits (batch x C_task) for a per-task-head model."""
-    head = Head(model, batch.task)
-    _, posts = trunk_forward(model, batch.inputs)
-    return check_logits(head.logits(posts[-1]), batch.task)
-
-
 def _softmax_rows(logits: np.ndarray, labels: np.ndarray):
     """Per row, the label's log-probability and softmax minus the one-hot label.
 
@@ -468,10 +458,10 @@ def apply_update(model: Model, grad: np.ndarray, lr: float) -> Model:
     return Model(model.arch, model.theta - lr * grad)
 
 
-def mlp(input_dim: int, hidden, class_counts, task_ids=None, **kw) -> Architecture:
+def mlp(input_dim: int, hidden, class_counts, task_ids=None) -> Architecture:
     """Convenience constructor for a per-task-head architecture."""
     counts = list(class_counts)
     ids = list(task_ids) if task_ids is not None else list(range(1, len(counts) + 1))
     if len(ids) != len(counts):
         raise ConfigurationError("task_ids and class_counts length mismatch")
-    return Architecture(input_dim, tuple(hidden), tuple(zip(ids, counts)), **kw)
+    return Architecture(input_dim, tuple(hidden), tuple(zip(ids, counts)))

@@ -12,8 +12,9 @@ never share data, and the post-selection reset is complete.
 
 from __future__ import annotations
 
+import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from . import nn
 from .embedding import je_predict
 from .errors import ConfigurationError, NumericError, ProtocolError
 from .learners import Learner, make_learner, multitask_train
-from .memory import per_task_batches
 from .metrics import (
     AccuracyTensor,
     MetricsReport,
@@ -59,6 +59,12 @@ class HyperParams:
     fisher_samples: int = 1000
 
     def __post_init__(self):
+        counts = (self.memory_per_task, self.ref_batch_size, self.batch_size, self.epochs,
+                  self.beta, self.fisher_samples)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
+            raise ConfigurationError(f"counts must be integers, got {counts}")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (self.lr, self.lam)):
+            raise ConfigurationError(f"lr and lam must be numbers, got {self.lr!r} and {self.lam!r}")
         if self.lr <= 0 or self.lam < 0:
             raise ConfigurationError("need lr > 0 and lam >= 0")
         if min(self.memory_per_task, self.ref_batch_size, self.batch_size, self.epochs) < 1:
@@ -92,8 +98,26 @@ def parse_learner(name: str) -> tuple[str, bool]:
     return name, False
 
 
+# every key each stream kind reads, with its default; build_stream rejects
+# any other key, so a misspelt one cannot fall back to its default unseen
+STREAM_DEFAULTS = {
+    "permuted-mnist": {
+        "tasks": 8, "cv_split": 3, "train_per_task": 1000, "test_per_task": 500,
+        # the base: MNIST IDX files under data_dir (or $LLB_DATA_DIR) when
+        # present, otherwise the synthetic stand-in these keys shape
+        "data_dir": None, "base_train": 4000, "base_test": 2000, "base_seed": 0,
+        "base_noise": 0.3, "input_dim": 784,
+    },
+    "synthetic-split": {
+        "tasks": 13, "cv_split": 3, "num_classes": 80, "classes_per_task": 5,
+        "attributes": 32, "with_replacement": False, "input_dim": 64,
+        "train_per_class": 100, "test_per_class": 40, "noise": 0.5,
+    },
+}
+
+
 def _mnist_base(stream: dict) -> BaseData:
-    data_dir = stream.get("data_dir") or os.environ.get(DATA_DIR_ENV)
+    data_dir = stream["data_dir"] or os.environ.get(DATA_DIR_ENV)
     if data_dir:
         paths = [
             os.path.join(data_dir, n)
@@ -111,41 +135,35 @@ def _mnist_base(stream: dict) -> BaseData:
     # like a real dataset, the synthetic base is fixed across run seeds;
     # permutations, subsampling, init, and shuffles still vary per seed
     return synthetic_mnist_base(
-        n_train=stream.get("base_train", 4000),
-        n_test=stream.get("base_test", 2000),
-        seed=stream.get("base_seed", 0),
-        dim=stream.get("input_dim", 784),
-        noise=stream.get("base_noise", 0.3),
+        n_train=stream["base_train"], n_test=stream["base_test"], seed=stream["base_seed"],
+        dim=stream["input_dim"], noise=stream["base_noise"],
     )
 
 
 def build_stream(stream: dict, seed: int) -> Continuum:
+    """The continuum a config's ``stream`` object describes (see ``STREAM_DEFAULTS``)."""
     kind = stream.get("kind", "permuted-mnist")
+    if kind not in STREAM_DEFAULTS:
+        raise ConfigurationError(f"unknown stream kind {kind!r}; valid: {sorted(STREAM_DEFAULTS)}")
+    defaults = STREAM_DEFAULTS[kind]
+    unknown = set(stream) - {"kind", *defaults}
+    if unknown:
+        raise ConfigurationError(
+            f"unknown stream key(s) {sorted(unknown)} for kind {kind!r}; "
+            f"valid: {sorted({'kind', *defaults})}"
+        )
+    s = {**defaults, **stream}
     if kind == "permuted-mnist":
-        base = _mnist_base(stream)
         return make_permuted_stream(
-            base,
-            T=stream.get("tasks", 8),
-            seed=seed,
-            cv_split=stream.get("cv_split", 3),
-            train_per_task=stream.get("train_per_task", 1000),
-            test_per_task=stream.get("test_per_task", 500),
+            _mnist_base(s), T=s["tasks"], seed=seed, cv_split=s["cv_split"],
+            train_per_task=s["train_per_task"], test_per_task=s["test_per_task"],
         )
-    if kind == "synthetic-split":
-        return make_synthetic_split_stream(
-            num_classes=stream.get("num_classes", 80),
-            classes_per_task=stream.get("classes_per_task", 5),
-            T=stream.get("tasks", 13),
-            A=stream.get("attributes", 32),
-            with_replacement=stream.get("with_replacement", False),
-            seed=seed,
-            cv_split=stream.get("cv_split", 3),
-            input_dim=stream.get("input_dim", 64),
-            train_per_class=stream.get("train_per_class", 100),
-            test_per_class=stream.get("test_per_class", 40),
-            noise=stream.get("noise", 0.5),
-        )
-    raise ConfigurationError(f"unknown stream kind {kind!r}")
+    return make_synthetic_split_stream(
+        num_classes=s["num_classes"], classes_per_task=s["classes_per_task"], T=s["tasks"],
+        A=s["attributes"], with_replacement=s["with_replacement"], seed=seed,
+        cv_split=s["cv_split"], input_dim=s["input_dim"], train_per_class=s["train_per_class"],
+        test_per_class=s["test_per_class"], noise=s["noise"],
+    )
 
 
 def arch_for_stream(
@@ -198,16 +216,9 @@ def eval_accuracy(
     return float(np.mean(preds == dataset.test_y))
 
 
-def eval_all(
-    model: nn.Model, tasks: list[TaskDataset], upto_task: int | None = None
-) -> np.ndarray:
-    """Per-task test accuracies, optionally only through ``upto_task``."""
-    out = []
-    for t in tasks:
-        out.append(eval_accuracy(model, t))
-        if upto_task is not None and t.task_id == upto_task:
-            break
-    return np.array(out)
+def eval_all(model: nn.Model, tasks: list[TaskDataset]) -> np.ndarray:
+    """Per-task test accuracies."""
+    return np.array([eval_accuracy(model, t) for t in tasks])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +289,7 @@ def run_single_pass(
             record(tensor, task.task_id, len(batches), other.task_id, acc)
         if trace.memory_tensor is not None and learner.state.memory is not None:
             trace.memory_tensor.batch_counts[task.task_id] = len(batches)
-            for stored, buf in per_task_batches(learner.state.memory):
+            for stored, buf in learner.state.memory.per_task.items():
                 preds = predict_task(learner.model, buf.x, stored, learner.state.descriptors[stored])
                 record(
                     trace.memory_tensor, task.task_id, len(batches), stored,
@@ -364,13 +375,14 @@ class CvResult:
     candidates: list[CvCandidate]
 
 
-def _multitask_accuracy(
+def _multitask_run(
     arch: nn.Architecture, tasks: list[TaskDataset], hp: HyperParams, seed: int
-) -> float:
-    model = nn.init_model(arch, seed)
-    model, visits = multitask_train(model, tasks, hp, seed)
+) -> tuple[np.ndarray, dict[int, int]]:
+    """Train the multitask baseline from init, audit its single pass, and
+    return the per-task test accuracies and the visit counts."""
+    model, visits = multitask_train(nn.init_model(arch, seed), tasks, hp, seed)
     audit_single_pass(visits, tasks, 1)
-    return float(np.mean(eval_all(model, tasks)))
+    return eval_all(model, tasks), visits
 
 
 def cross_validate(
@@ -392,7 +404,7 @@ def cross_validate(
     for hp in grid:
         try:
             if base == "multitask":
-                acc = _multitask_accuracy(arch, cv_tasks, hp, seed)
+                acc = float(np.mean(_multitask_run(arch, cv_tasks, hp, seed)[0]))
             else:
                 learner = make_learner(base, nn.init_model(arch, seed), hp, seed)
                 tensor = AccuracyTensor(order=[t.task_id for t in cv_tasks])
@@ -454,11 +466,7 @@ def build_report(
         mean_step_seconds=mean_step_seconds,
         step_seconds_by_task=list(trace.step_seconds_by_task),
         param_count=param_count,
-        hyperparams={
-            "lr": hp.lr, "lam": hp.lam, "memory_per_task": hp.memory_per_task,
-            "ref_batch_size": hp.ref_batch_size, "batch_size": hp.batch_size,
-            "epochs": hp.epochs, "beta": hp.beta, "fisher_samples": hp.fisher_samples,
-        },
+        hyperparams=asdict(hp),
     )
 
 
@@ -497,11 +505,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     hp = replace(cv.best, epochs=config.study_epochs)
 
     if base_name == "multitask":
-        model = nn.init_model(arch, seed)
-        model, visits = multitask_train(model, ev_tasks, hp, seed)
-        audit_single_pass(visits, ev_tasks, 1)
+        accs, visits = _multitask_run(arch, ev_tasks, hp, seed)
         audit_isolation(cv_tasks, ev_tasks, set(), set(visits))
-        accs = eval_all(model, ev_tasks)
         report = MetricsReport(
             learner=config.learner, seed=seed,
             avg_accuracy=float(np.mean(accs)),
@@ -551,8 +556,3 @@ def aggregate_reports(reports: list[MetricsReport]) -> dict:
         "violations": stat([float(r.violations) for r in reports]),
         "mean_step_seconds": stat([r.mean_step_seconds for r in reports]),
     }
-
-
-def run_experiment(config: ExperimentConfig) -> tuple[list[SeedResult], dict]:
-    results = [run_seed(config, seed) for seed in config.seeds]
-    return results, aggregate_reports([r.report for r in results])

@@ -27,6 +27,11 @@ from .rng import substream
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 SYNTHETIC_CHUNK_ROWS = 1024
+# the synthetic MNIST stand-in: pixel levels of its ink zone and background,
+# the share of pixels in the ink zone, and the spread of the class means
+SYNTHETIC_INK, SYNTHETIC_BACKGROUND = 0.75, 0.05
+SYNTHETIC_ACTIVE_FRAC = 0.4
+SYNTHETIC_CLASS_STD = 0.2
 
 
 class Rows:
@@ -206,10 +211,6 @@ def synthetic_mnist_base(
     seed: int = 0,
     dim: int = 784,
     noise: float = 0.3,
-    class_std: float = 0.2,
-    active_frac: float = 0.4,
-    ink: float = 0.75,
-    background: float = 0.05,
 ) -> BaseData:
     """Deterministic MNIST stand-in with image-like pixel statistics.
 
@@ -222,9 +223,9 @@ def synthetic_mnist_base(
     base; chunked normal draws equal one draw of the whole block.
     """
     rng = substream(seed, "synthetic-mnist")
-    profile = np.full(dim, background)
-    profile[rng.choice(dim, size=int(active_frac * dim), replace=False)] = ink
-    deltas = rng.normal(0.0, class_std, size=(10, dim)) * (profile > background)
+    profile = np.full(dim, SYNTHETIC_BACKGROUND)
+    profile[rng.choice(dim, size=int(SYNTHETIC_ACTIVE_FRAC * dim), replace=False)] = SYNTHETIC_INK
+    deltas = rng.normal(0.0, SYNTHETIC_CLASS_STD, size=(10, dim)) * (profile > SYNTHETIC_BACKGROUND)
     means = np.clip(profile + deltas, 0.0, 1.0)
 
     def draw(n):

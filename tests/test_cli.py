@@ -113,6 +113,61 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,message", [
+        ({"learner": "agem", "base": {"lrr": 0.1}}, "'lrr'"),
+        ({"learner": "agem", "base": [1, 2]}, "'base' must be an object"),
+        ({"learner": "agem", "base": {"lr": "fast"}}, "lr and lam must be numbers"),
+        ({"learner": "agem", "base": {"batch_size": 2.5}}, "counts must be integers"),
+        ({"learner": "agem", "hidden": 5}, "'hidden' must be a list of integers"),
+        ({"hidden": [64, "a"]}, "'hidden' must be a list of integers"),
+        ({"seeds": "0,1"}, "'seeds' must be a list of integers"),
+        ({"seeds": [0, True]}, "'seeds' must be a list of integers"),
+        ({"stream": "permuted-mnist"}, "'stream' must be an object"),
+        ({"grid": {"lr": 0.1}}, "'grid' must be an object of lists"),
+        ({"learner": 3}, "'learner' must be a string"),
+        ({"study_epochs": "2"}, "'study_epochs' must be an integer"),
+        ([1, 2], "config must be a JSON object"),
+    ])
+    def test_malformed_config_exit_2(self, config, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--print-config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_invalid_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"learner": "agem",}')
+        assert main(["run", "--config", str(path), "--print-config"]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--seeds", "a,b"), ("--hidden", "64,x")])
+    def test_malformed_int_flag_exit_2(self, flag, value, toy_config, capsys):
+        assert main(["run", "--config", toy_config, flag, value, "--print-config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{flag} takes comma-separated integers" in err
+
+    def test_misspelt_stream_key_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({**TOY, "stream": {**TOY["stream"], "train_per_tsk": 20}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "train_per_tsk" in err and "'train_per_task'" in err
+
+    def test_malformed_grid_value_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**TOY, "grid": {"lr": ["fast"]}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "lr and lam must be numbers" in capsys.readouterr().err
+
+    def test_overrides_replace_config_fields(self, toy_config, capsys):
+        assert main(["run", "--config", toy_config, "--learner", "gem", "--seeds", "3,4",
+                     "--hidden", "7", "--stream", "permuted-mnist", "--study-epochs", "2",
+                     "--print-config"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown == {**config_to_dict(config_from_dict(TOY)), "learner": "gem",
+                         "seeds": [3, 4], "hidden": [7], "study_epochs": 2}
+
 
 class TestEmitReport:
     def make_reports(self):

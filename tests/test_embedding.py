@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from llb import nn
-from llb.embedding import (
-    embed_task,
-    je_forward,
-    je_loss_and_grad,
-    je_probabilities,
-    zero_shot_eval,
-)
+from llb.embedding import je_loss_and_grad, je_predict, zero_shot_eval
 from llb.errors import ConfigurationError
-from llb.oracles import finite_diff_grad, naive_matmul
+from llb.oracles import finite_diff_grad, naive_matmul, naive_mlp_forward
 from llb.streams import make_synthetic_split_stream, split_cv_ev
 
 
@@ -22,60 +16,66 @@ def random_batch(rng, input_dim=6, classes=3, n=7):
     return nn.Batch(rng.normal(size=(n, input_dim)), rng.integers(0, classes, size=n), task=1)
 
 
+def class_embeddings(descriptor, table):
+    """Head(...).E of a joint-embedding model whose attribute table is ``table``."""
+    A, D = table.shape
+    arch = je_arch(hidden=(8, D), A=A)
+    model = nn.init_model(arch, 0)
+    model.theta[nn.layout(arch).table] = table.ravel()
+    return nn.Head(model, 1, descriptor).E
+
+
+def table_logits(model, inputs, descriptor):
+    _, posts = nn.trunk_forward(model, inputs)
+    return nn.Head(model, 1, descriptor).logits(posts[-1])
+
+
 class TestEmbedTask:
     def test_one_hot_rows_select_table_rows(self):
         rng = np.random.default_rng(0)
         table = rng.normal(size=(4, 5))
         descriptor = np.eye(4)[[2, 0]]
-        emb = embed_task(descriptor, table)
+        emb = class_embeddings(descriptor, table)
         assert np.array_equal(emb, table[[2, 0]])
 
     def test_zero_descriptor_zero_embedding(self):
         table = np.random.default_rng(0).normal(size=(4, 5))
-        assert np.all(embed_task(np.zeros((3, 4)), table) == 0.0)
+        assert np.all(class_embeddings(np.zeros((3, 4)), table) == 0.0)
 
     def test_matches_naive_matmul(self):
         rng = np.random.default_rng(1)
         table = rng.normal(size=(6, 7))
         descriptor = rng.normal(size=(4, 6))
-        assert np.allclose(embed_task(descriptor, table), naive_matmul(descriptor, table), atol=1e-12)
+        assert np.allclose(
+            class_embeddings(descriptor, table), naive_matmul(descriptor, table), atol=1e-12
+        )
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            embed_task(np.zeros((2, 3)), np.zeros((4, 5)))
+            class_embeddings(np.zeros((2, 3)), np.zeros((4, 5)))
 
 
 class TestJeForward:
-    def test_orthogonal_embeddings_give_uniform_probabilities(self):
-        arch = je_arch()
-        model = nn.init_model(arch, 0)
-        # zero attribute table -> all logits zero -> uniform distribution
-        lay = nn.layout(arch)
-        model.theta[lay.table] = 0.0
-        rng = np.random.default_rng(2)
-        desc = rng.integers(0, 2, size=(3, 4)).astype(float)
-        probs = je_probabilities(model, random_batch(rng), desc)
-        assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
-
-    def test_single_class_probability_one(self):
-        rng = np.random.default_rng(3)
-        model = nn.init_model(je_arch(), 1)
-        desc = rng.integers(0, 2, size=(1, 4)).astype(float)
-        batch = nn.Batch(rng.normal(size=(5, 6)), np.zeros(5, dtype=int), 1)
-        probs = je_probabilities(model, batch, desc)
-        assert np.allclose(probs, 1.0, atol=1e-12)
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(4)
-        model = nn.init_model(je_arch(), 2)
-        desc = rng.integers(0, 2, size=(4, 4)).astype(float)
-        probs = je_probabilities(model, random_batch(rng, classes=4), desc)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    """The joint-embedding forward pass, as ``je_predict`` runs it."""
 
     def test_per_task_model_rejected(self):
         model = nn.init_model(nn.mlp(6, (8, 5), [3]), 0)
-        with pytest.raises(ConfigurationError):
-            je_forward(model, nn.Batch(np.zeros((2, 6)), np.zeros(2, dtype=int), 1), np.zeros((3, 4)))
+        with pytest.raises(ConfigurationError, match="joint-embedding"):
+            je_predict(model, np.zeros((2, 6)), np.zeros((3, 4)))
+
+    def test_predictions_match_naive_forward(self):
+        rng = np.random.default_rng(9)
+        arch = je_arch()
+        model = nn.init_model(arch, 7)
+        lay = nn.layout(arch)
+        weights = [model.theta[w].reshape(fi, fo) for w, b, fi, fo in lay.trunk]
+        biases = [model.theta[b] for w, b, _, _ in lay.trunk]
+        table = model.theta[lay.table].reshape(arch.attr_count, arch.trunk_dim)
+        desc = rng.normal(size=(5, arch.attr_count))
+        x = rng.normal(size=(40, arch.input_dim))
+        h = naive_mlp_forward(weights, biases, x, relu_last=True)
+        expected = naive_matmul(h, naive_matmul(desc, table).T).argmax(axis=1)
+        assert np.array_equal(je_predict(model, x, desc), expected)
 
 
 class TestJeLossAndGrad:
@@ -183,10 +183,10 @@ class TestSharedTableCoupling:
         grad_table_only[lay.table] = grad[lay.table]
         moved = nn.apply_update(model, grad_table_only, 0.5)
 
-        probe = nn.Batch(rng.normal(size=(4, 6)), np.zeros(4, dtype=int), 2)
-        before_shared = je_forward(model, probe, desc_shared)
-        after_shared = je_forward(moved, probe, desc_shared)
-        before_disj = je_forward(model, probe, desc_disjoint)
-        after_disj = je_forward(moved, probe, desc_disjoint)
+        probe = rng.normal(size=(4, 6))
+        before_shared = table_logits(model, probe, desc_shared)
+        after_shared = table_logits(moved, probe, desc_shared)
+        before_disj = table_logits(model, probe, desc_disjoint)
+        after_disj = table_logits(moved, probe, desc_disjoint)
         assert not np.allclose(before_shared, after_shared, atol=1e-12)
         assert np.allclose(before_disj, after_disj, atol=1e-15)

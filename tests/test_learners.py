@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from llb import nn
 from llb.learners import (
+    LEARNERS,
     EwcAnchor,
     LearnerState,
     agem_project,
@@ -754,6 +755,32 @@ class TestMultitask:
 
 
 class TestLearnerObjects:
+    @pytest.mark.parametrize("name", sorted(LEARNERS))
+    def test_end_task_hook(self, name):
+        # one hook fills memory for every memory learner; EWC consolidates
+        stream = small_stream(T=2, n=40)
+        task = stream.tasks[0]
+        hp = HyperParams(memory_per_task=15, fisher_samples=20)
+        learner = make_learner(name, fresh_state(stream).model, hp, 4)
+        learner.register_task(task)
+        learner.end_task(task)
+        state = learner.state
+        if LEARNERS[name].uses_memory:
+            want = update_eps_mem(EpisodicMemory(15), task, task.task_id, seed=4)
+            assert list(state.memory.per_task) == [task.task_id]
+            for got, exp in ((state.memory.x, want.x), (state.memory.y, want.y),
+                             (state.memory.ids, want.ids)):
+                assert np.array_equal(got, exp)
+            assert len(set(state.memory.ids.tolist())) == 15
+            assert set(state.memory.ids.tolist()) <= set(task.train_ids.tolist())
+        else:
+            assert state.memory is None
+        if name == "ewc":
+            (anchor,) = state.ewc_anchors
+            assert np.array_equal(anchor.theta_star, state.model.theta)
+        else:
+            assert state.ewc_anchors == []
+
     def test_factory_rejects_unknown(self):
         from llb.errors import ConfigurationError
 

@@ -5,7 +5,6 @@ from llb.errors import MemoryStateError
 from llb.memory import (
     EpisodicMemory,
     TaskBuffer,
-    per_task_batches,
     sample_ref_batch,
     update_eps_mem,
 )
@@ -67,7 +66,7 @@ class TestSampleRefBatch:
         return mem
 
     def test_empty_memory_signals_none(self):
-        assert sample_ref_batch(EpisodicMemory(10), 5, 0) is None
+        assert sample_ref_batch(EpisodicMemory(10), 5, substream(0, "ref-batch")) is None
 
     def test_requests_above_total_return_everything(self):
         mem = self.fill([25, 15], m=40)
@@ -114,20 +113,22 @@ class TestSampleRefBatch:
 
 
 class TestPerTaskBatches:
+    """``per_task`` yields one full buffer per stored task, ascending task id."""
+
     def test_empty(self):
-        assert per_task_batches(EpisodicMemory(5)) == []
+        assert list(EpisodicMemory(5).per_task.items()) == []
 
     def test_ascending_task_order(self):
         mem = EpisodicMemory(10)
         for t in (3, 1, 2):
             update_eps_mem(mem, make_task(20, task_id=t), t, seed=t)
-        assert [t for t, _ in per_task_batches(mem)] == [1, 2, 3]
+        assert [t for t, _ in mem.per_task.items()] == [1, 2, 3]
 
     def test_one_entry_per_stored_task(self):
         mem = EpisodicMemory(10)
         for t in range(1, 5):
             update_eps_mem(mem, make_task(20, task_id=t), t, seed=t)
-        assert len(per_task_batches(mem)) == 4
+        assert len(mem.per_task.items()) == 4
 
 
 def per_task_gather(mem, size, rng):

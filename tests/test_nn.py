@@ -71,12 +71,19 @@ class TestInit:
             nn.mlp(2**20, (2**12,), [10]).param_count
 
 
+def logits(model, batch):
+    """The forward pass: the task's ``Head.logits`` over the trunk output."""
+    head = nn.Head(model, batch.task)
+    _, posts = nn.trunk_forward(model, batch.inputs)
+    return head.logits(posts[-1])
+
+
 class TestForward:
     def test_zero_params_zero_logits(self):
         arch = small_arch()
         model = nn.Model(arch, np.zeros(arch.param_count))
         batch = nn.Batch(np.ones((4, 5)), np.zeros(4, dtype=int), 1)
-        assert np.all(nn.forward(model, batch) == 0.0)
+        assert np.all(logits(model, batch) == 0.0)
 
     def test_bias_only_net_passes_bias_through(self):
         # zero weights leave only the head bias pattern in the logits
@@ -85,8 +92,8 @@ class TestForward:
         model = nn.Model(arch, theta)
         w, b, _ = nn.layout(arch).heads[1]
         theta[b] = [0.5, -1.0, 2.0]
-        logits = nn.forward(model, nn.Batch(np.ones((2, 3)), np.zeros(2, dtype=int), 1))
-        assert np.allclose(logits, [[0.5, -1.0, 2.0]] * 2)
+        out = logits(model, nn.Batch(np.ones((2, 3)), np.zeros(2, dtype=int), 1))
+        assert np.allclose(out, [[0.5, -1.0, 2.0]] * 2)
 
     def test_matches_naive_triple_loop(self):
         rng = np.random.default_rng(5)
@@ -102,13 +109,18 @@ class TestForward:
         # hidden layers ReLU, output linear
         expected = naive_mlp_forward(weights[:-1], biases[:-1], batch.inputs, relu_last=True)
         expected = expected @ weights[-1] + biases[-1]
-        assert np.allclose(nn.forward(model, batch), expected, atol=1e-12)
+        assert np.allclose(logits(model, batch), expected, atol=1e-12)
+        assert np.array_equal(
+            nn.predict(model, batch.inputs, 2), logits(model, batch).argmax(axis=1)
+        )
 
     def test_unknown_task_raises(self):
         model = nn.init_model(small_arch(), 0)
         batch = nn.Batch(np.ones((2, 5)), np.zeros(2, dtype=int), task=9)
         with pytest.raises(MissingHeadError):
-            nn.forward(model, batch)
+            logits(model, batch)
+        with pytest.raises(MissingHeadError):
+            nn.predict(model, batch.inputs, 9)
 
 
 class TestLossAndGrad:

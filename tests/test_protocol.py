@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from llb.metrics import AccuracyTensor, avg_accuracy
 from llb.protocol import (
     ExperimentConfig,
     HyperParams,
+    STREAM_DEFAULTS,
     RunTrace,
     arch_for_stream,
     audit_isolation,
@@ -216,13 +220,6 @@ class TestEvalAll:
             manual = sum(int(p == y) for p, y in zip(preds, task.test_y)) / len(task.test_y)
             assert acc == pytest.approx(manual)
 
-    def test_upto_task_stops_early(self):
-        cont = toy_stream(T=3, cv=1)
-        arch = arch_for_stream(cont, (6, 5), False)
-        model = nn.init_model(arch, 0)
-        accs = eval_all(model, cont.tasks, upto_task=cont.tasks[1].task_id)
-        assert len(accs) == 2
-
 
 class TestCrossValidate:
     def test_single_candidate_wins(self):
@@ -334,6 +331,33 @@ class TestDefaults:
                                "train_per_task": 20, "test_per_task": 10}, 0)
         cv, ev = split_cv_ev(stream)
         assert len(cv) == 3 and len(ev) == 5
+
+
+class TestStreamKeys:
+    def test_misspelt_key_rejected_naming_valid_keys(self):
+        stream = {"kind": "permuted-mnist", "tasks": 2, "train_per_tsk": 20}
+        with pytest.raises(ConfigurationError, match="train_per_tsk") as err:
+            build_stream(stream, 0)
+        for key in ("kind", *STREAM_DEFAULTS["permuted-mnist"]):
+            assert repr(key) in str(err.value)
+
+    def test_other_kinds_key_rejected(self):
+        # train_per_task is read by permuted-mnist only
+        with pytest.raises(ConfigurationError, match="'train_per_task'.*'synthetic-split'"):
+            build_stream({"kind": "synthetic-split", "train_per_task": 20}, 0)
+        with pytest.raises(ConfigurationError, match="'attributes'.*'permuted-mnist'"):
+            build_stream({"attributes": 8}, 0)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown stream kind 'split'"):
+            build_stream({"kind": "split"}, 0)
+
+    def test_shipped_configs_use_known_keys(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+        for name in sorted(os.listdir(root)):
+            with open(os.path.join(root, name)) as f:
+                stream = json.load(f)["stream"]
+            assert set(stream) <= {"kind", *STREAM_DEFAULTS[stream["kind"]]}, name
 
 
 class TestExpandGrid:
