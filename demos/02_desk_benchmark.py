@@ -9,10 +9,9 @@ import numpy as np
 
 from llb import nn
 from llb.learners import make_learner, multitask_train
-from llb.metrics import AccuracyTensor, avg_accuracy, forgetting
+from llb.metrics import avg_accuracy, forgetting
 from llb.protocol import (
     HyperParams,
-    RunTrace,
     arch_for_stream,
     build_stream,
     eval_all,
@@ -34,14 +33,12 @@ print(f"{len(ev_tasks)} evaluation tasks, {arch.param_count:,} parameters\n")
 print(f"{'learner':<10}{'A_T':>8}{'F_T':>8}{'violations':>12}{'ms/step':>10}")
 for name in ("vanilla", "agem", "gem"):
     learner = make_learner(name, nn.init_model(arch, SEED), hp, SEED)
-    tensor = AccuracyTensor(order=[t.task_id for t in ev_tasks])
-    trace = RunTrace()
-    run_single_pass(learner, ev_tasks, hp, SEED, tensor, trace)
+    state, run = run_single_pass(learner, ev_tasks, hp, SEED)
     last = ev_tasks[-1].task_id
-    ms = 1000 * learner.state.step_seconds / learner.state.step_count
-    print(f"{name:<10}{avg_accuracy(tensor, last):>8.3f}"
-          f"{forgetting(tensor, last)[0]:>8.3f}"
-          f"{learner.state.violation_count:>12}{ms:>10.1f}")
+    ms = 1000 * state.step_seconds / state.step_count
+    print(f"{name:<10}{avg_accuracy(run.tensor, last):>8.3f}"
+          f"{forgetting(run.tensor, last)[0]:>8.3f}"
+          f"{state.violation_count:>12}{ms:>10.1f}")
 
 model, _ = multitask_train(nn.init_model(arch, SEED), ev_tasks, hp, SEED)
 print(f"{'multitask':<10}{np.mean(eval_all(model, ev_tasks)):>8.3f}"

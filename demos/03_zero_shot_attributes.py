@@ -12,7 +12,7 @@ import numpy as np
 
 from llb import nn
 from llb.learners import make_learner
-from llb.metrics import AccuracyTensor, zero_shot_series
+from llb.metrics import zero_shot_series
 from llb.protocol import HyperParams, arch_for_stream, run_single_pass, split_cv_ev
 from llb.streams import make_synthetic_split_stream
 
@@ -26,12 +26,12 @@ arch = arch_for_stream(stream, (64, 64), joint_embedding=True)
 hp = HyperParams(lr=0.1, memory_per_task=100, ref_batch_size=128, batch_size=10, beta=10)
 
 learner = make_learner("agem", nn.init_model(arch, SEED), hp, SEED)
-tensor = AccuracyTensor(order=[t.task_id for t in ev_tasks])
-run_single_pass(learner, ev_tasks, hp, SEED, tensor)
+_, run = run_single_pass(learner, ev_tasks, hp, SEED)
+series = zero_shot_series(run.tensor)
 
 print("task   zero-shot accuracy (chance = 0.20)")
-for task, acc in zero_shot_series(tensor):
+for task, acc in series:
     bar = "#" * int(40 * acc)
     print(f"{task:>4}   {acc:.3f} {bar}")
-last5 = np.mean([acc for _, acc in zero_shot_series(tensor)[-5:]])
+last5 = np.mean([acc for _, acc in series[-5:]])
 print(f"\nmean over the last five unseen tasks: {last5:.3f}")

@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from .embedding import je_predict
 from .errors import ConfigurationError, NumericError, ProtocolError
-from .learners import Learner, make_learner, multitask_train
+from .learners import Learner, LearnerState, make_learner, multitask_train
 from .metrics import (
     AccuracyTensor,
     MetricsReport,
@@ -99,12 +99,13 @@ def parse_learner(name: str) -> tuple[str, bool]:
 
 
 # every key each stream kind reads, with its default; build_stream rejects
-# any other key, so a misspelt one cannot fall back to its default unseen
+# any other key, so a misspelt one cannot fall back to its default unseen,
+# and any value whose JSON type differs from its default's
 STREAM_DEFAULTS = {
     "permuted-mnist": {
         "tasks": 8, "cv_split": 3, "train_per_task": 1000, "test_per_task": 500,
-        # the base: MNIST IDX files under data_dir (or $LLB_DATA_DIR) when
-        # present, otherwise the synthetic stand-in these keys shape
+        # the base: the MNIST IDX files under data_dir (or $LLB_DATA_DIR)
+        # when either is set, otherwise the synthetic stand-in these keys shape
         "data_dir": None, "base_train": 4000, "base_test": 2000, "base_seed": 0,
         "base_noise": 0.3, "input_dim": 784,
     },
@@ -116,22 +117,27 @@ STREAM_DEFAULTS = {
 }
 
 
+IDX_FILES = (
+    "train-images-idx3-ubyte",
+    "train-labels-idx1-ubyte",
+    "t10k-images-idx3-ubyte",
+    "t10k-labels-idx1-ubyte",
+)
+
+
 def _mnist_base(stream: dict) -> BaseData:
     data_dir = stream["data_dir"] or os.environ.get(DATA_DIR_ENV)
     if data_dir:
-        paths = [
-            os.path.join(data_dir, n)
-            for n in (
-                "train-images-idx3-ubyte",
-                "train-labels-idx1-ubyte",
-                "t10k-images-idx3-ubyte",
-                "t10k-labels-idx1-ubyte",
+        paths = [os.path.join(data_dir, n) for n in IDX_FILES]
+        missing = [n for n, p in zip(IDX_FILES, paths) if not os.path.exists(p)]
+        if missing:
+            raise ConfigurationError(
+                f"MNIST data directory {data_dir!r} (from data_dir or ${DATA_DIR_ENV}) "
+                f"lacks {', '.join(missing)}"
             )
-        ]
-        if all(os.path.exists(p) for p in paths):
-            train_x, train_y = load_mnist_idx(paths[0], paths[1])
-            test_x, test_y = load_mnist_idx(paths[2], paths[3])
-            return BaseData(train_x, train_y, test_x, test_y)
+        train_x, train_y = load_mnist_idx(paths[0], paths[1])
+        test_x, test_y = load_mnist_idx(paths[2], paths[3])
+        return BaseData(train_x, train_y, test_x, test_y)
     # like a real dataset, the synthetic base is fixed across run seeds;
     # permutations, subsampling, init, and shuffles still vary per seed
     return synthetic_mnist_base(
@@ -140,10 +146,33 @@ def _mnist_base(stream: dict) -> BaseData:
     )
 
 
+def _check_stream_value(key: str, value, default) -> None:
+    """A stream value takes its default's JSON type (an integer also serves
+    as a number, and a ``null`` default stands for a string) and no number
+    is negative.  ``null`` is valid where the default is ``null`` and for
+    the per-task row counts, where it keeps every base row."""
+    nullable = default is None or key in ("train_per_task", "test_per_task")
+    if value is None and nullable:
+        return
+    if default is None:
+        wanted, ok = "a string", isinstance(value, str)
+    elif isinstance(default, bool):
+        wanted, ok = "true or false", isinstance(value, bool)
+    else:
+        integral = isinstance(default, int)
+        wanted = "a non-negative " + ("integer" if integral else "number")
+        number = numbers.Integral if integral else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool) and value >= 0
+    if not ok:
+        raise ConfigurationError(
+            f"stream {key!r} must be {wanted}{' or null' if nullable else ''}, got {value!r}"
+        )
+
+
 def build_stream(stream: dict, seed: int) -> Continuum:
     """The continuum a config's ``stream`` object describes (see ``STREAM_DEFAULTS``)."""
     kind = stream.get("kind", "permuted-mnist")
-    if kind not in STREAM_DEFAULTS:
+    if not isinstance(kind, str) or kind not in STREAM_DEFAULTS:
         raise ConfigurationError(f"unknown stream kind {kind!r}; valid: {sorted(STREAM_DEFAULTS)}")
     defaults = STREAM_DEFAULTS[kind]
     unknown = set(stream) - {"kind", *defaults}
@@ -152,6 +181,9 @@ def build_stream(stream: dict, seed: int) -> Continuum:
             f"unknown stream key(s) {sorted(unknown)} for kind {kind!r}; "
             f"valid: {sorted({'kind', *defaults})}"
         )
+    for key, value in stream.items():
+        if key != "kind":
+            _check_stream_value(key, value, defaults[key])
     s = {**defaults, **stream}
     if kind == "permuted-mnist":
         return make_permuted_stream(
@@ -227,9 +259,12 @@ def eval_all(model: nn.Model, tasks: list[TaskDataset]) -> np.ndarray:
 
 @dataclass
 class RunTrace:
-    """Side-channel facts a run produces beyond the accuracy log."""
+    """The record of one single pass: the accuracy log it fills, the same
+    log over the episodic-memory buffers (memory learners only), and the
+    facts it produces beside them."""
 
-    memory_tensor: AccuracyTensor | None = None
+    tensor: AccuracyTensor
+    memory_tensor: AccuracyTensor | None
     violations_by_task: list[tuple[int, int]] = field(default_factory=list)
     step_seconds_by_task: list[tuple[int, float]] = field(default_factory=list)
     visit_counts: dict[int, int] = field(default_factory=dict)
@@ -240,26 +275,24 @@ def run_single_pass(
     tasks: list[TaskDataset],
     hp: HyperParams,
     seed: int,
-    tensor: AccuracyTensor,
-    trace: RunTrace | None = None,
     allow_multi_epoch: bool = False,
-):
+) -> tuple[LearnerState, RunTrace]:
     """Train over the stream in order, logging at the metric cadence.
 
-    Raises ProtocolError on numeric failure (recorded entries are kept)
-    and on any violation of the single-pass audit.
+    Returns the learner's state and the run's record.  Raises
+    ProtocolError on numeric failure and on any violation of the
+    single-pass audit.
     """
     if hp.epochs > 1 and not allow_multi_epoch:
         raise ConfigurationError(
             "multiple epochs are only allowed on CV streams or in study mode"
         )
-    if tensor.order != [t.task_id for t in tasks]:
-        raise ConfigurationError("tensor order does not match the stream")
-    if trace is None:
-        trace = RunTrace()
-    if learner.state.memory is not None and trace.memory_tensor is None:
-        trace.memory_tensor = AccuracyTensor(order=list(tensor.order))
-    visits = trace.visit_counts
+    order = [t.task_id for t in tasks]
+    run = RunTrace(
+        AccuracyTensor(order=order),
+        AccuracyTensor(order=list(order)) if learner.state.memory is not None else None,
+    )
+    tensor, visits = run.tensor, run.visit_counts
 
     for task in tasks:
         learner.register_task(task)
@@ -287,22 +320,22 @@ def run_single_pass(
         accs = eval_all(learner.model, tasks)
         for other, acc in zip(tasks, accs):
             record(tensor, task.task_id, len(batches), other.task_id, acc)
-        if trace.memory_tensor is not None and learner.state.memory is not None:
-            trace.memory_tensor.batch_counts[task.task_id] = len(batches)
+        if run.memory_tensor is not None:
+            run.memory_tensor.batch_counts[task.task_id] = len(batches)
             for stored, buf in learner.state.memory.per_task.items():
                 preds = predict_task(learner.model, buf.x, stored, learner.state.descriptors[stored])
                 record(
-                    trace.memory_tensor, task.task_id, len(batches), stored,
+                    run.memory_tensor, task.task_id, len(batches), stored,
                     float(np.mean(preds == buf.y)),
                 )
-        trace.violations_by_task.append((task.task_id, learner.state.violation_count))
+        run.violations_by_task.append((task.task_id, learner.state.violation_count))
         steps = learner.state.step_count - steps0
-        trace.step_seconds_by_task.append(
+        run.step_seconds_by_task.append(
             (task.task_id, (learner.state.step_seconds - secs0) / max(steps, 1))
         )
 
     audit_single_pass(visits, tasks, hp.epochs)
-    return learner.state, tensor
+    return learner.state, run
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +440,8 @@ def cross_validate(
                 acc = float(np.mean(_multitask_run(arch, cv_tasks, hp, seed)[0]))
             else:
                 learner = make_learner(base, nn.init_model(arch, seed), hp, seed)
-                tensor = AccuracyTensor(order=[t.task_id for t in cv_tasks])
-                run_single_pass(
-                    learner, cv_tasks, hp, seed, tensor, allow_multi_epoch=True
-                )
-                acc = avg_accuracy(tensor, cv_tasks[-1].task_id)
+                _, run = run_single_pass(learner, cv_tasks, hp, seed, allow_multi_epoch=True)
+                acc = avg_accuracy(run.tensor, cv_tasks[-1].task_id)
             candidates.append(CvCandidate(hp, acc))
         except (NumericError, ProtocolError):
             candidates.append(CvCandidate(hp, None))
@@ -429,13 +459,13 @@ def _effective_beta(tensor: AccuracyTensor, beta: int) -> int:
 def build_report(
     learner_name: str,
     seed: int,
-    tensor: AccuracyTensor,
-    trace: RunTrace,
+    state: LearnerState,
+    run: RunTrace,
     hp: HyperParams,
-    param_count: int,
-    violations: int,
-    mean_step_seconds: float,
 ) -> MetricsReport:
+    """The metric report of one single pass, from its record and the
+    learner's final state."""
+    tensor = run.tensor
     last = tensor.order[-1]
     beta = _effective_beta(tensor, hp.beta)
     zb, area = lca(tensor, beta)
@@ -447,8 +477,8 @@ def build_report(
         f_t, _ = forgetting(tensor, last)
         wst = worst_case_forgetting(tensor, last)
     wst_mem = None
-    if trace.memory_tensor is not None and len(tensor.order) > 1:
-        wst_mem = worst_case_forgetting(trace.memory_tensor, last)
+    if run.memory_tensor is not None and len(tensor.order) > 1:
+        wst_mem = worst_case_forgetting(run.memory_tensor, last)
     return MetricsReport(
         learner=learner_name,
         seed=seed,
@@ -461,11 +491,11 @@ def build_report(
         zb_curve=zb,
         bshot_curves=bshot,
         zero_shot=zero_shot_series(tensor),
-        violations=violations,
-        violations_by_task=list(trace.violations_by_task),
-        mean_step_seconds=mean_step_seconds,
-        step_seconds_by_task=list(trace.step_seconds_by_task),
-        param_count=param_count,
+        violations=state.violation_count,
+        violations_by_task=list(run.violations_by_task),
+        mean_step_seconds=state.step_seconds / max(state.step_count, 1),
+        step_seconds_by_task=list(run.step_seconds_by_task),
+        param_count=state.model.arch.param_count,
         hyperparams=asdict(hp),
     )
 
@@ -523,17 +553,11 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     model = nn.init_model(arch, seed)
     learner = make_learner(base_name, model, hp, seed)
     audit_reset(learner, arch, seed)
-    tensor = AccuracyTensor(order=[t.task_id for t in ev_tasks])
-    trace = RunTrace()
-    state, tensor = run_single_pass(
-        learner, ev_tasks, hp, seed, tensor, trace,
-        allow_multi_epoch=config.study_epochs > 1,
+    state, run = run_single_pass(
+        learner, ev_tasks, hp, seed, allow_multi_epoch=config.study_epochs > 1
     )
-    audit_isolation(cv_tasks, ev_tasks, set(), set(trace.visit_counts))
-    report = build_report(
-        config.learner, seed, tensor, trace, hp, arch.param_count,
-        state.violation_count, state.step_seconds / max(state.step_count, 1),
-    )
+    audit_isolation(cv_tasks, ev_tasks, set(), set(run.visit_counts))
+    report = build_report(config.learner, seed, state, run, hp)
     return SeedResult(report, cv)
 
 

@@ -25,8 +25,6 @@ def substream(master_seed: int, *names: str) -> np.random.Generator:
     Deterministic in (master_seed, names) and stable across processes;
     distinct names yield statistically independent streams.
     """
-    if not names:
-        return np.random.default_rng(np.random.SeedSequence(master_seed))
     return np.random.default_rng(
         np.random.SeedSequence([int(master_seed), _name_key(names)])
     )

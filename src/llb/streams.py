@@ -43,8 +43,8 @@ class Rows:
     2.4 that is two to three times faster than one ``np.ix_`` fancy index
     for 10 to 1000 rows of 784.  ``rows`` defaults to every base row in
     order and ``perm`` to the identity (no column gather).  Supports
-    ``len``, ``.shape``, int, slice, index-array and ``(row, column)``
-    indexing, iteration over rows and ``np.asarray``.
+    ``len``, ``.shape``, int, slice and index-array indexing (so also
+    iteration over rows) and ``np.asarray``.
     """
 
     __slots__ = ("base", "rows", "perm")
@@ -64,16 +64,8 @@ class Rows:
         return (len(self.rows), self.base.shape[1])
 
     def __getitem__(self, key) -> np.ndarray:
-        if isinstance(key, tuple):
-            head, *rest = key
-            out = self[head]
-            return out[tuple(rest)] if out.ndim == 1 else out[(slice(None), *rest)]
         out = self.base[self.rows[key]]
         return out if self.perm is None else out.take(self.perm, axis=-1)
-
-    def __iter__(self):
-        for lo in range(0, len(self), 1024):
-            yield from self[lo : lo + 1024]
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

@@ -34,7 +34,6 @@ from llb.oracles import (
 )
 from llb.protocol import (
     HyperParams,
-    RunTrace,
     arch_for_stream,
     audit_isolation,
     audit_reset,
@@ -284,11 +283,10 @@ def _desk_protocol_run(learner_name: str, seed: int):
         return float(np.mean(eval_all(model, ev_tasks))), None, None, arch
     learner = make_learner(learner_name, nn.init_model(arch, seed), cv.best, seed)
     audit_reset(learner, arch, seed)
-    tensor = AccuracyTensor(order=[t.task_id for t in ev_tasks])
-    trace = RunTrace()
-    run_single_pass(learner, ev_tasks, cv.best, seed, tensor, trace)
+    _, trace = run_single_pass(learner, ev_tasks, cv.best, seed)
     audit_isolation(cv_tasks, ev_tasks, set(), set(trace.visit_counts))
     last = ev_tasks[-1].task_id
+    tensor = trace.tensor
     return avg_accuracy(tensor, last), forgetting(tensor, last)[0], trace, arch
 
 
@@ -379,10 +377,7 @@ def efficiency_runs():
             _, ev_tasks = split_cv_ev(continuum)
             arch = arch_for_stream(continuum, (256, 256), False)
             learner = make_learner(name, nn.init_model(arch, seed), EFFICIENCY_HP, seed)
-            tensor = AccuracyTensor(order=[t.task_id for t in ev_tasks])
-            trace = RunTrace()
-            run_single_pass(learner, ev_tasks, EFFICIENCY_HP, seed, tensor, trace)
-            out[name].append(trace)
+            out[name].append(run_single_pass(learner, ev_tasks, EFFICIENCY_HP, seed)[1])
     return out
 
 
@@ -445,9 +440,7 @@ def test_09_zero_shot_transfer():
         _, ev_tasks = split_cv_ev(continuum)
         arch = arch_for_stream(continuum, (64, 64), True)
         learner = make_learner("agem", nn.init_model(arch, seed), hp, seed)
-        tensor = AccuracyTensor(order=[t.task_id for t in ev_tasks])
-        run_single_pass(learner, ev_tasks, hp, seed, tensor)
-        series = zero_shot_series(tensor)
+        series = zero_shot_series(run_single_pass(learner, ev_tasks, hp, seed)[1].tensor)
         first = series[0][1]
         last5 = float(np.mean([v for _, v in series[-5:]]))
         chance = 1.0 / 5.0

@@ -154,6 +154,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "train_per_tsk" in err and "'train_per_task'" in err
 
+    @pytest.mark.parametrize("stream,message", [
+        ({**TOY["stream"], "tasks": "4"}, "stream 'tasks' must be a non-negative integer"),
+        ({**TOY["stream"], "train_per_task": -5},
+         "stream 'train_per_task' must be a non-negative integer or null"),
+        ({"kind": "synthetic-split", "noise": "big"}, "stream 'noise' must be a non-negative number"),
+    ])
+    def test_malformed_stream_value_exit_2(self, stream, message, tmp_path, capsys):
+        path = tmp_path / "stream.json"
+        path.write_text(json.dumps({**TOY, "stream": stream}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_data_dir_without_idx_files_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({**TOY, "stream": {**TOY["stream"], "data_dir": str(tmp_path)}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lacks train-images-idx3-ubyte" in err
+
     def test_malformed_grid_value_exit_2(self, tmp_path, capsys):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({**TOY, "grid": {"lr": ["fast"]}}))

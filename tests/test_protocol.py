@@ -1,14 +1,18 @@
+import inspect
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from llb import nn
 from llb.errors import ConfigurationError, ProtocolError
-from llb.learners import make_learner
+from llb.learners import LearnerState, make_learner
 from llb.metrics import AccuracyTensor, avg_accuracy
 from llb.protocol import (
+    DATA_DIR_ENV,
+    IDX_FILES,
     ExperimentConfig,
     HyperParams,
     STREAM_DEFAULTS,
@@ -50,8 +54,8 @@ class TestRunSinglePass:
         arch = arch_for_stream(cont, (6, 5), False)
         hp = toy_hp()
         learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
-        tensor = AccuracyTensor(order=[t.task_id for t in ev])
-        run_single_pass(learner, ev, hp, 0, tensor)
+        _, run = run_single_pass(learner, ev, hp, 0)
+        tensor = run.tensor
         expected = set()
         for task in ev:
             bk = tensor.batch_counts[task.task_id]
@@ -70,9 +74,7 @@ class TestRunSinglePass:
         tensors = []
         for _ in range(2):
             learner = make_learner("agem", nn.init_model(arch, 3), hp, 3)
-            tensor = AccuracyTensor(order=[t.task_id for t in ev])
-            run_single_pass(learner, ev, hp, 3, tensor)
-            tensors.append(tensor)
+            tensors.append(run_single_pass(learner, ev, hp, 3)[1].tensor)
         assert tensors[0].entries == tensors[1].entries
 
     def test_visit_audit_counts_every_example_once(self):
@@ -81,9 +83,7 @@ class TestRunSinglePass:
         arch = arch_for_stream(cont, (6, 5), False)
         hp = toy_hp()
         learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
-        trace = RunTrace()
-        tensor = AccuracyTensor(order=[t.task_id for t in ev])
-        run_single_pass(learner, ev, hp, 0, tensor, trace)
+        _, trace = run_single_pass(learner, ev, hp, 0)
         expected = {int(i) for t in ev for i in t.train_ids}
         assert set(trace.visit_counts) == expected
         assert set(trace.visit_counts.values()) == {1}
@@ -94,12 +94,10 @@ class TestRunSinglePass:
         arch = arch_for_stream(cont, (6, 5), False)
         hp = toy_hp(epochs=2)
         learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
-        tensor = AccuracyTensor(order=[t.task_id for t in ev])
         with pytest.raises(ConfigurationError, match="epochs"):
-            run_single_pass(learner, ev, hp, 0, tensor)
+            run_single_pass(learner, ev, hp, 0)
         learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
-        tensor = AccuracyTensor(order=[t.task_id for t in ev])
-        run_single_pass(learner, ev, hp, 0, tensor, allow_multi_epoch=True)
+        run_single_pass(learner, ev, hp, 0, allow_multi_epoch=True)
 
     def test_memory_tensor_recorded_for_memory_learners(self):
         cont = toy_stream()
@@ -107,13 +105,48 @@ class TestRunSinglePass:
         arch = arch_for_stream(cont, (6, 5), False)
         hp = toy_hp()
         learner = make_learner("agem", nn.init_model(arch, 0), hp, 0)
-        trace = RunTrace()
-        tensor = AccuracyTensor(order=[t.task_id for t in ev])
-        run_single_pass(learner, ev, hp, 0, tensor, trace)
+        _, trace = run_single_pass(learner, ev, hp, 0)
         assert trace.memory_tensor is not None
         first, second = ev[0].task_id, ev[1].task_id
         bk = trace.memory_tensor.batch_counts[second]
         assert (second, bk, first) in trace.memory_tensor.entries
+
+    @pytest.mark.parametrize("name, has_memory", [
+        ("vanilla", False), ("ewc", False), ("agem", True), ("gem", True),
+    ])
+    def test_returns_state_and_its_own_record(self, name, has_memory):
+        cont = toy_stream()
+        _, ev = split_cv_ev(cont)
+        arch = arch_for_stream(cont, (6, 5), False)
+        hp = toy_hp()
+        learner = make_learner(name, nn.init_model(arch, 0), hp, 0)
+        state, run = run_single_pass(learner, ev, hp, 0)
+        order = [t.task_id for t in ev]
+        assert state is learner.state
+        assert isinstance(run, RunTrace)
+        assert run.tensor.order == order
+        assert [k for k, _ in run.violations_by_task] == order
+        assert [k for k, _ in run.step_seconds_by_task] == order
+        if has_memory:
+            assert run.memory_tensor.order == order
+            assert run.memory_tensor.batch_counts == run.tensor.batch_counts
+            last = order[-1]
+            assert {(k, j) for k, _, j in run.memory_tensor.entries if k == last} == {
+                (last, j) for j in order
+            }
+        else:
+            assert run.memory_tensor is None
+        # every call builds a fresh record
+        learner = make_learner(name, nn.init_model(arch, 0), hp, 0)
+        assert run_single_pass(learner, ev, hp, 0)[1].tensor is not run.tensor
+
+    def test_caller_passes_no_log(self):
+        assert list(inspect.signature(run_single_pass).parameters) == [
+            "learner", "tasks", "hp", "seed", "allow_multi_epoch",
+        ]
+        assert list(inspect.signature(build_report).parameters) == [
+            "learner_name", "seed", "state", "run", "hp",
+        ]
 
     def test_own_task_test_split_gathered_once_per_task(self):
         from llb.streams import Rows
@@ -133,7 +166,7 @@ class TestRunSinglePass:
         arch = arch_for_stream(cont, (6, 5), False)
         hp = toy_hp(beta=3)
         learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
-        run_single_pass(learner, ev, hp, 0, AccuracyTensor(order=[t.task_id for t in ev]))
+        run_single_pass(learner, ev, hp, 0)
         # once for the 1 + beta cadence evaluations, once per task boundary
         assert [t.test_x.gathers for t in ev] == [1 + len(ev)] * len(ev)
 
@@ -272,31 +305,51 @@ class TestCrossValidate:
             cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)], seed=0)
 
 
+def write_mnist_idx(directory, names=IDX_FILES):
+    """Tiny IDX files (12 train and 6 test images of 4 x 3 pixels) under the
+    standard MNIST names, for the given names only."""
+    def images(n, salt):
+        return struct.pack(">IIII", 0x803, n, 4, 3) + bytes((salt + i) % 256 for i in range(n * 12))
+
+    def labels(n):
+        return struct.pack(">II", 0x801, n) + bytes(i % 10 for i in range(n))
+
+    blobs = dict(zip(IDX_FILES, (images(12, salt=1), labels(12), images(6, salt=7), labels(6))))
+    for name in names:
+        (directory / name).write_bytes(blobs[name])
+
+
 class TestDataDiscovery:
     def test_idx_files_used_when_present(self, tmp_path):
-        import struct
-
-        def write(name, blob):
-            (tmp_path / name).write_bytes(blob)
-
-        def images(n, rows, cols, salt):
-            return struct.pack(">IIII", 0x803, n, rows, cols) + bytes(
-                (salt + i) % 256 for i in range(n * rows * cols)
-            )
-
-        def labels(n):
-            return struct.pack(">II", 0x801, n) + bytes(i % 10 for i in range(n))
-
-        write("train-images-idx3-ubyte", images(12, 4, 3, salt=1))
-        write("train-labels-idx1-ubyte", labels(12))
-        write("t10k-images-idx3-ubyte", images(6, 4, 3, salt=7))
-        write("t10k-labels-idx1-ubyte", labels(6))
+        write_mnist_idx(tmp_path)
         stream = build_stream(
             {"kind": "permuted-mnist", "tasks": 2, "cv_split": 1,
              "data_dir": str(tmp_path)}, 0,
         )
         assert stream.tasks[0].train_x.shape == (12, 12)
-        assert stream.tasks[0].train_x[0, 1] == pytest.approx(2 / 255)
+        assert stream.tasks[0].train_x[0][1] == pytest.approx(2 / 255)
+
+    @pytest.mark.parametrize("absent", IDX_FILES)
+    def test_missing_idx_file_raises_naming_it(self, absent, tmp_path):
+        write_mnist_idx(tmp_path, [n for n in IDX_FILES if n != absent])
+        with pytest.raises(ConfigurationError, match=absent) as err:
+            build_stream({"kind": "permuted-mnist", "data_dir": str(tmp_path)}, 0)
+        assert str(tmp_path) in str(err.value)
+        assert all(n not in str(err.value) for n in IDX_FILES if n != absent)
+
+    def test_env_dir_without_idx_files_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "no-such-dir"))
+        with pytest.raises(ConfigurationError, match="no-such-dir") as err:
+            build_stream({"kind": "permuted-mnist", "tasks": 2, "cv_split": 1}, 0)
+        assert all(n in str(err.value) for n in IDX_FILES)
+
+    def test_env_dir_used_when_data_dir_null(self, tmp_path, monkeypatch):
+        write_mnist_idx(tmp_path)
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        stream = build_stream(
+            {"kind": "permuted-mnist", "tasks": 2, "cv_split": 1, "data_dir": None}, 0
+        )
+        assert stream.tasks[0].train_x.shape == (12, 12)
 
     def test_synthetic_base_fixed_across_run_seeds(self):
         kw = {"kind": "permuted-mnist", "tasks": 2, "cv_split": 1,
@@ -358,6 +411,45 @@ class TestStreamKeys:
             with open(os.path.join(root, name)) as f:
                 stream = json.load(f)["stream"]
             assert set(stream) <= {"kind", *STREAM_DEFAULTS[stream["kind"]]}, name
+
+
+class TestStreamValues:
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("permuted-mnist", "tasks", "4", "'tasks' must be a non-negative integer, got '4'"),
+        ("permuted-mnist", "tasks", 4.0, "'tasks' must be a non-negative integer"),
+        ("permuted-mnist", "tasks", True, "'tasks' must be a non-negative integer"),
+        ("permuted-mnist", "train_per_task", -5,
+         "'train_per_task' must be a non-negative integer or null, got -5"),
+        ("permuted-mnist", "base_noise", "big", "'base_noise' must be a non-negative number"),
+        ("permuted-mnist", "data_dir", 3, "'data_dir' must be a string or null"),
+        ("permuted-mnist", "cv_split", None, "'cv_split' must be a non-negative integer, got None"),
+        ("synthetic-split", "noise", "big", "'noise' must be a non-negative number, got 'big'"),
+        ("synthetic-split", "noise", -0.5, "'noise' must be a non-negative number"),
+        ("synthetic-split", "with_replacement", 1, "'with_replacement' must be true or false"),
+        ("synthetic-split", "num_classes", [80], "'num_classes' must be a non-negative integer"),
+    ])
+    def test_wrong_type_or_negative_rejected(self, kind, key, value, message):
+        with pytest.raises(ConfigurationError) as err:
+            build_stream({"kind": kind, key: value}, 0)
+        assert message in str(err.value)
+
+    def test_null_row_counts_keep_every_base_row(self):
+        stream = build_stream({"kind": "permuted-mnist", "tasks": 2, "cv_split": 1,
+                               "train_per_task": None, "test_per_task": None,
+                               "data_dir": None, "base_train": 40, "base_test": 15}, 0)
+        assert [len(t.train_y) for t in stream.tasks] == [40, 40]
+        assert [len(t.test_y) for t in stream.tasks] == [15, 15]
+
+    def test_integer_serves_as_number(self):
+        a = build_stream({"kind": "synthetic-split", "tasks": 4, "cv_split": 1,
+                          "num_classes": 20, "noise": 1}, 0)
+        b = build_stream({"kind": "synthetic-split", "tasks": 4, "cv_split": 1,
+                          "num_classes": 20, "noise": 1.0}, 0)
+        assert np.array_equal(a.tasks[0].train_x[:], b.tasks[0].train_x[:])
+
+    def test_non_string_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown stream kind"):
+            build_stream({"kind": ["permuted-mnist"]}, 0)
 
 
 class TestExpandGrid:
@@ -453,10 +545,18 @@ class TestBuildReport:
                 tensor.entries[(k, b, k)] = 0.5
             for j in (1, 2):
                 tensor.entries[(k, 3, j)] = 0.75
-        trace = RunTrace(violations_by_task=[(1, 0), (2, 2)],
+        arch = nn.Architecture(4, (3,), ((1, 2), (2, 2)))
+        state = LearnerState(nn.init_model(arch, 0), violation_count=2,
+                             step_seconds=0.003, step_count=2)
+        trace = RunTrace(tensor, None, violations_by_task=[(1, 0), (2, 2)],
                          step_seconds_by_task=[(1, 0.001), (2, 0.002)])
-        r = build_report("x", 0, tensor, trace, toy_hp(beta=10), 99, 2, 0.0015)
+        r = build_report("x", 0, state, trace, toy_hp(beta=10))
         assert r.lca_beta == 3
         assert len(r.zb_curve) == 4
         assert len(r.bshot_curves) == 2 * 4
         assert r.avg_accuracy == pytest.approx(0.75)
+        # the counters come from the learner's final state
+        assert r.param_count == arch.param_count
+        assert r.violations == 2
+        assert r.mean_step_seconds == pytest.approx(0.0015)
+        assert r.worst_case_forgetting_memory is None

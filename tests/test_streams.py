@@ -287,9 +287,9 @@ class TestLazyRows:
             assert np.array_equal(np.asarray(task.test_x), test)
             assert np.array_equal(np.array(list(task.train_x)), train)
             assert task.train_x.shape == train.shape and len(task.test_x) == len(test)
-            assert task.train_x[7, 3] == train[7, 3]
+            assert task.train_x[7][3] == train[7, 3]
             assert np.array_equal(task.train_x[-1], train[-1])
-            assert np.array_equal(task.test_x[5:9, 2:4], test[5:9, 2:4])
+            assert np.array_equal(task.test_x[5:9][:, 2:4], test[5:9, 2:4])
             pos = {int(i): r for r, i in enumerate(task.train_ids)}
             for batch in minibatches(task, 8, seed):
                 assert np.array_equal(batch.inputs, train[[pos[int(i)] for i in batch.ids]])
@@ -354,7 +354,7 @@ class TestLazyRows:
         assert np.array_equal(task.train_x[:], train_x)
         assert np.array_equal(np.asarray(task.test_x), test_x)
         assert np.array_equal(task.train_x[[4, 0, 9]], train_x[[4, 0, 9]])
-        assert task.train_x[3, 2] == train_x[3, 2] and task.train_x.shape == (30, 5)
+        assert task.train_x[3][2] == train_x[3, 2] and task.train_x.shape == (30, 5)
         assert np.array_equal(np.array(list(task.test_x)), test_x)
         seen = np.concatenate([b.ids for b in minibatches(task, 7, 0)])
         assert sorted(seen.tolist()) == list(range(30))
