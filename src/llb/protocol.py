@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import nn
 from .embedding import je_predict
 from .errors import ConfigurationError, NumericError, ProtocolError
-from .learners import Learner, LearnerState, make_learner, multitask_train
+from .learners import LEARNER_NAMES, Learner, LearnerState, make_learner, multitask_train
 from .metrics import (
     AccuracyTensor,
     MetricsReport,
@@ -46,6 +46,44 @@ from .streams import (
 
 DATA_DIR_ENV = "LLB_DATA_DIR"
 
+# least values of numeric config keys (any other number is at least 0, and
+# lr is above 0); a list's entry bounds each of its items
+LEAST_VALUES = {"tasks": 2, **dict.fromkeys((
+    "cv_split", "train_per_task", "test_per_task", "base_train", "base_test", "input_dim",
+    "num_classes", "classes_per_task", "attributes", "train_per_class", "test_per_class",
+    "memory_per_task", "ref_batch_size", "batch_size", "epochs", "fisher_samples",
+    "hidden", "study_epochs"), 1)}
+
+
+def check_value(level: str, key: str, value, default) -> None:
+    """Raise ConfigurationError unless ``value`` takes its default's JSON
+    type (an integer also serves as a number, a ``null`` default stands for
+    a string, a list's items take its first item's type, and any other
+    default stands for an object of its type) and every number in it is at
+    least its ``LEAST_VALUES`` entry, or 0 (``lr`` is above 0).  ``null`` is
+    valid where the default is ``null`` and for the per-task row counts,
+    where it keeps every base row.  ``level`` names the config object."""
+    nullable = default is None or key in ("train_per_task", "test_per_task")
+    if value is None and nullable:
+        return
+    is_list = isinstance(default, (list, tuple))
+    item = default[0] if is_list else default
+    types = {type(None): str, int: numbers.Integral, float: numbers.Real}.get(type(item), type(item))
+    noun = {str: "string", bool: "boolean", numbers.Integral: "integer",
+            numbers.Real: "number"}.get(types, "object")
+    least = LEAST_VALUES.get(key, 0)
+    bound = (" > 0" if key == "lr" else f" >= {least}") if noun in ("integer", "number") else ""
+
+    def ok(v) -> bool:
+        return (isinstance(v, types) and (types is bool or not isinstance(v, bool))
+                and (not bound or (v > 0 if key == "lr" else v >= least)))
+
+    if not (isinstance(value, (list, tuple)) and all(map(ok, value)) if is_list else ok(value)):
+        wanted = f"a list of {noun}s" if is_list else ("an " if noun[0] in "aio" else "a ") + noun
+        raise ConfigurationError(
+            f"{level} {key!r} must be {wanted}{bound}{' or null' if nullable else ''}, got {value!r}"
+        )
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -59,28 +97,19 @@ class HyperParams:
     fisher_samples: int = 1000
 
     def __post_init__(self):
-        counts = (self.memory_per_task, self.ref_batch_size, self.batch_size, self.epochs,
-                  self.beta, self.fisher_samples)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
-            raise ConfigurationError(f"counts must be integers, got {counts}")
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (self.lr, self.lam)):
-            raise ConfigurationError(f"lr and lam must be numbers, got {self.lr!r} and {self.lam!r}")
-        if self.lr <= 0 or self.lam < 0:
-            raise ConfigurationError("need lr > 0 and lam >= 0")
-        if min(self.memory_per_task, self.ref_batch_size, self.batch_size, self.epochs) < 1:
-            raise ConfigurationError("counts must be >= 1")
-        if self.beta < 0:
-            raise ConfigurationError("beta must be >= 0")
+        for f in fields(self):
+            check_value("base", f.name, getattr(self, f.name), f.default)
 
 
 def expand_grid(base: HyperParams, grid: dict[str, list]) -> list[HyperParams]:
     """All combinations of the listed values over the base hyper-parameters."""
-    known = {f.name for f in fields(HyperParams)}
-    unknown = set(grid) - known
+    defaults = {f.name: f.default for f in fields(HyperParams)}
+    unknown = set(grid) - set(defaults)
     if unknown:
         raise ConfigurationError(f"unknown hyper-parameter(s) in grid: {sorted(unknown)}")
     candidates = [base]
     for name, values in grid.items():
+        check_value("grid", name, values, [defaults[name]])
         if not values:
             raise ConfigurationError(f"empty grid for {name!r}")
         candidates = [replace(hp, **{name: v}) for hp in candidates for v in values]
@@ -146,31 +175,9 @@ def _mnist_base(stream: dict) -> BaseData:
     )
 
 
-def _check_stream_value(key: str, value, default) -> None:
-    """A stream value takes its default's JSON type (an integer also serves
-    as a number, and a ``null`` default stands for a string) and no number
-    is negative.  ``null`` is valid where the default is ``null`` and for
-    the per-task row counts, where it keeps every base row."""
-    nullable = default is None or key in ("train_per_task", "test_per_task")
-    if value is None and nullable:
-        return
-    if default is None:
-        wanted, ok = "a string", isinstance(value, str)
-    elif isinstance(default, bool):
-        wanted, ok = "true or false", isinstance(value, bool)
-    else:
-        integral = isinstance(default, int)
-        wanted = "a non-negative " + ("integer" if integral else "number")
-        number = numbers.Integral if integral else numbers.Real
-        ok = isinstance(value, number) and not isinstance(value, bool) and value >= 0
-    if not ok:
-        raise ConfigurationError(
-            f"stream {key!r} must be {wanted}{' or null' if nullable else ''}, got {value!r}"
-        )
-
-
-def build_stream(stream: dict, seed: int) -> Continuum:
-    """The continuum a config's ``stream`` object describes (see ``STREAM_DEFAULTS``)."""
+def check_stream(stream: dict) -> dict:
+    """The stream with its kind's defaults filled in; raises
+    ConfigurationError on an unknown kind or key, or on a bad value."""
     kind = stream.get("kind", "permuted-mnist")
     if not isinstance(kind, str) or kind not in STREAM_DEFAULTS:
         raise ConfigurationError(f"unknown stream kind {kind!r}; valid: {sorted(STREAM_DEFAULTS)}")
@@ -183,9 +190,14 @@ def build_stream(stream: dict, seed: int) -> Continuum:
         )
     for key, value in stream.items():
         if key != "kind":
-            _check_stream_value(key, value, defaults[key])
-    s = {**defaults, **stream}
-    if kind == "permuted-mnist":
+            check_value("stream", key, value, defaults[key])
+    return {**defaults, **stream, "kind": kind}
+
+
+def build_stream(stream: dict, seed: int) -> Continuum:
+    """The continuum a config's ``stream`` object describes (see ``STREAM_DEFAULTS``)."""
+    s = check_stream(stream)
+    if s["kind"] == "permuted-mnist":
         return make_permuted_stream(
             _mnist_base(s), T=s["tasks"], seed=seed, cv_split=s["cv_split"],
             train_per_task=s["train_per_task"], test_per_task=s["test_per_task"],
@@ -502,6 +514,9 @@ def build_report(
 
 @dataclass
 class ExperimentConfig:
+    """One experiment.  Its fields, learner name, stream and grid are checked
+    when it is built, so also after every ``dataclasses.replace``."""
+
     learner: str = "agem"
     stream: dict = field(default_factory=lambda: {"kind": "permuted-mnist"})
     hidden: tuple[int, ...] = (256, 256)
@@ -511,10 +526,18 @@ class ExperimentConfig:
     study_epochs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            check_value("config", f.name, getattr(self, f.name), default)
         if not self.seeds:
             raise ConfigurationError("need at least one seed")
-        if self.study_epochs < 1:
-            raise ConfigurationError("study_epochs must be >= 1")
+        if parse_learner(self.learner)[0] not in LEARNER_NAMES:
+            raise ConfigurationError(
+                f"unknown learner {self.learner!r}; valid: {', '.join(LEARNER_NAMES)}"
+                " (each optionally with a -je suffix)"
+            )
+        check_stream(self.stream)
+        expand_grid(self.base, self.grid)
 
 
 @dataclass

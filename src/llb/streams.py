@@ -32,6 +32,9 @@ SYNTHETIC_CHUNK_ROWS = 1024
 SYNTHETIC_INK, SYNTHETIC_BACKGROUND = 0.75, 0.05
 SYNTHETIC_ACTIVE_FRAC = 0.4
 SYNTHETIC_CLASS_STD = 0.2
+# the synthetic split stream redraws its class attribute rows until they are
+# distinct; this many draws of rows that still collide is an error
+ATTRIBUTE_DRAWS = 1000
 
 
 class Rows:
@@ -311,14 +314,23 @@ def make_synthetic_split_stream(
         )
     if classes_per_task > num_classes:
         raise ConfigurationError("classes_per_task exceeds num_classes")
+    if 2**A < num_classes:
+        raise ConfigurationError(
+            f"attributes={A} give at most {2**A} distinct attribute rows, "
+            f"fewer than num_classes={num_classes}"
+        )
 
     rng = substream(seed, "split-stream")
     # Globally distinct binary attribute rows so descriptors separate classes.
-    attrs = rng.integers(0, 2, size=(num_classes, A)).astype(np.float64)
-    seen = {tuple(row) for row in attrs}
-    while len(seen) < num_classes:
+    for _ in range(ATTRIBUTE_DRAWS):
         attrs = rng.integers(0, 2, size=(num_classes, A)).astype(np.float64)
-        seen = {tuple(row) for row in attrs}
+        if len({tuple(row) for row in attrs}) == num_classes:
+            break
+    else:
+        raise ConfigurationError(
+            f"no {num_classes} distinct rows of {A} attributes in {ATTRIBUTE_DRAWS} draws; "
+            "raise attributes or lower num_classes"
+        )
     attr_to_input = rng.normal(0.0, 1.0 / np.sqrt(A), size=(A, input_dim))
     class_means = attrs @ attr_to_input
 

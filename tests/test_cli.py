@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from llb import cli
 from llb.cli import (
     CURVE_HEADER,
     FLAT_HEADER,
@@ -116,14 +117,14 @@ class TestRunCommand:
     @pytest.mark.parametrize("config,message", [
         ({"learner": "agem", "base": {"lrr": 0.1}}, "'lrr'"),
         ({"learner": "agem", "base": [1, 2]}, "'base' must be an object"),
-        ({"learner": "agem", "base": {"lr": "fast"}}, "lr and lam must be numbers"),
-        ({"learner": "agem", "base": {"batch_size": 2.5}}, "counts must be integers"),
+        ({"learner": "agem", "base": {"lr": "fast"}}, "base 'lr' must be a number > 0"),
+        ({"learner": "agem", "base": {"batch_size": 2.5}}, "base 'batch_size' must be an integer >= 1"),
         ({"learner": "agem", "hidden": 5}, "'hidden' must be a list of integers"),
         ({"hidden": [64, "a"]}, "'hidden' must be a list of integers"),
         ({"seeds": "0,1"}, "'seeds' must be a list of integers"),
         ({"seeds": [0, True]}, "'seeds' must be a list of integers"),
         ({"stream": "permuted-mnist"}, "'stream' must be an object"),
-        ({"grid": {"lr": 0.1}}, "'grid' must be an object of lists"),
+        ({"grid": {"lr": 0.1}}, "grid 'lr' must be a list of numbers > 0"),
         ({"learner": 3}, "'learner' must be a string"),
         ({"study_epochs": "2"}, "'study_epochs' must be an integer"),
         ([1, 2], "config must be a JSON object"),
@@ -155,10 +156,10 @@ class TestRunCommand:
         assert "train_per_tsk" in err and "'train_per_task'" in err
 
     @pytest.mark.parametrize("stream,message", [
-        ({**TOY["stream"], "tasks": "4"}, "stream 'tasks' must be a non-negative integer"),
+        ({**TOY["stream"], "tasks": "4"}, "stream 'tasks' must be an integer >= 2"),
         ({**TOY["stream"], "train_per_task": -5},
-         "stream 'train_per_task' must be a non-negative integer or null"),
-        ({"kind": "synthetic-split", "noise": "big"}, "stream 'noise' must be a non-negative number"),
+         "stream 'train_per_task' must be an integer >= 1 or null"),
+        ({"kind": "synthetic-split", "noise": "big"}, "stream 'noise' must be a number >= 0"),
     ])
     def test_malformed_stream_value_exit_2(self, stream, message, tmp_path, capsys):
         path = tmp_path / "stream.json"
@@ -178,7 +179,36 @@ class TestRunCommand:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({**TOY, "grid": {"lr": ["fast"]}}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
-        assert "lr and lam must be numbers" in capsys.readouterr().err
+        assert "grid 'lr' must be a list of numbers > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,override", [
+        ("train_per_task", {"stream": {**TOY["stream"], "train_per_task": 0}}),
+        ("base_train", {"stream": {**TOY["stream"], "base_train": 0}}),
+        ("train_per_class", {"stream": {"kind": "synthetic-split", "tasks": 4, "cv_split": 1,
+                                        "num_classes": 20, "train_per_class": 0}}),
+        ("fisher_samples", {"base": {**TOY["base"], "fisher_samples": 0}}),
+        ("fisher_samples", {"base": {**TOY["base"], "fisher_samples": -3}}),
+        ("seeds", {"seeds": [-1]}),
+    ])
+    def test_zero_or_negative_count_exit_2(self, key, override, tmp_path, capsys):
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps({**TOY, "learner": "ewc", **override}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err
+
+    @pytest.mark.parametrize("override,flags,message", [
+        ({"stream": {**TOY["stream"], "tasks": "4"}}, [], "stream 'tasks'"),
+        ({"grid": {"lr": ["fast"]}}, [], "grid 'lr'"),
+        ({}, ["--learner", "bogus"], "unknown learner 'bogus'"),
+        ({}, ["--study-epochs", "0"], "config 'study_epochs'"),
+    ])
+    def test_print_config_checks_every_value(self, override, flags, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TOY, **override}))
+        assert main(["run", "--config", str(path), "--print-config", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_overrides_replace_config_fields(self, toy_config, capsys):
         assert main(["run", "--config", toy_config, "--learner", "gem", "--seeds", "3,4",
@@ -250,6 +280,17 @@ class TestCompareAndGrid:
         assert len(rows) == 1 + 2 * 2
         learners = {r[0] for r in rows[1:]}
         assert learners == {"vanilla", "agem"}
+
+    @pytest.mark.parametrize("command", ["compare", "grid"])
+    def test_unknown_learner_rejected_before_any_run(self, command, toy_config, tmp_path,
+                                                     capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_config_seeds", lambda config, jobs=1: ran.append(config))
+        code = main([command, "--config", toy_config, "--learners", "agem,bogus",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2 and ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown learner 'bogus'" in err
 
     def test_grid_emits_cv_table(self, tmp_path):
         config = dict(TOY)

@@ -1,7 +1,9 @@
 import inspect
 import json
 import os
+import re
 import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from llb.metrics import AccuracyTensor, avg_accuracy
 from llb.protocol import (
     DATA_DIR_ENV,
     IDX_FILES,
+    LEAST_VALUES,
     ExperimentConfig,
     HyperParams,
     STREAM_DEFAULTS,
@@ -415,18 +418,18 @@ class TestStreamKeys:
 
 class TestStreamValues:
     @pytest.mark.parametrize("kind, key, value, message", [
-        ("permuted-mnist", "tasks", "4", "'tasks' must be a non-negative integer, got '4'"),
-        ("permuted-mnist", "tasks", 4.0, "'tasks' must be a non-negative integer"),
-        ("permuted-mnist", "tasks", True, "'tasks' must be a non-negative integer"),
+        ("permuted-mnist", "tasks", "4", "'tasks' must be an integer >= 2, got '4'"),
+        ("permuted-mnist", "tasks", 4.0, "'tasks' must be an integer >= 2"),
+        ("permuted-mnist", "tasks", True, "'tasks' must be an integer >= 2"),
         ("permuted-mnist", "train_per_task", -5,
-         "'train_per_task' must be a non-negative integer or null, got -5"),
-        ("permuted-mnist", "base_noise", "big", "'base_noise' must be a non-negative number"),
+         "'train_per_task' must be an integer >= 1 or null, got -5"),
+        ("permuted-mnist", "base_noise", "big", "'base_noise' must be a number >= 0"),
         ("permuted-mnist", "data_dir", 3, "'data_dir' must be a string or null"),
-        ("permuted-mnist", "cv_split", None, "'cv_split' must be a non-negative integer, got None"),
-        ("synthetic-split", "noise", "big", "'noise' must be a non-negative number, got 'big'"),
-        ("synthetic-split", "noise", -0.5, "'noise' must be a non-negative number"),
-        ("synthetic-split", "with_replacement", 1, "'with_replacement' must be true or false"),
-        ("synthetic-split", "num_classes", [80], "'num_classes' must be a non-negative integer"),
+        ("permuted-mnist", "cv_split", None, "'cv_split' must be an integer >= 1, got None"),
+        ("synthetic-split", "noise", "big", "'noise' must be a number >= 0, got 'big'"),
+        ("synthetic-split", "noise", -0.5, "'noise' must be a number >= 0"),
+        ("synthetic-split", "with_replacement", 1, "'with_replacement' must be a boolean"),
+        ("synthetic-split", "num_classes", [80], "'num_classes' must be an integer >= 1"),
     ])
     def test_wrong_type_or_negative_rejected(self, kind, key, value, message):
         with pytest.raises(ConfigurationError) as err:
@@ -450,6 +453,53 @@ class TestStreamValues:
     def test_non_string_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown stream kind"):
             build_stream({"kind": ["permuted-mnist"]}, 0)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("name, value, message", [
+        ("lr", 0, "base 'lr' must be a number > 0, got 0"),
+        ("lr", True, "base 'lr' must be a number > 0"),
+        ("lam", -1.0, "base 'lam' must be a number >= 0"),
+        ("memory_per_task", 0, "base 'memory_per_task' must be an integer >= 1"),
+        ("ref_batch_size", 0, "base 'ref_batch_size' must be an integer >= 1"),
+        ("batch_size", 2.5, "base 'batch_size' must be an integer >= 1"),
+        ("epochs", 0, "base 'epochs' must be an integer >= 1"),
+        ("beta", -1, "base 'beta' must be an integer >= 0"),
+        ("fisher_samples", 0, "base 'fisher_samples' must be an integer >= 1"),
+    ])
+    def test_hyperparams_checked(self, name, value, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            HyperParams(**{name: value})
+
+    def test_zero_where_no_least_value(self):
+        hp = HyperParams(lr=1, lam=0, beta=0)
+        assert (hp.lr, hp.lam, hp.beta) == (1, 0, 0)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"learner": "bogus-je"}, "unknown learner 'bogus-je'"),
+        ({"learner": None}, "config 'learner' must be a string"),
+        ({"stream": {"kind": "permuted-mnist", "tasks": 1}}, "stream 'tasks' must be an integer >= 2"),
+        ({"stream": {"kind": "synthetic-split", "attributes": 0}}, "stream 'attributes'"),
+        ({"stream": {"train_per_tsk": 20}}, "unknown stream key(s) ['train_per_tsk']"),
+        ({"grid": {"lr": [0.1, 0]}}, "grid 'lr' must be a list of numbers > 0"),
+        ({"grid": {"lr": []}}, "empty grid for 'lr'"),
+        ({"grid": {"nope": [1]}}, "unknown hyper-parameter(s) in grid"),
+        ({"base": {"lr": 0.1}}, "config 'base' must be an object"),
+        ({"hidden": (64, 0)}, "config 'hidden' must be a list of integers >= 1"),
+        ({"seeds": ()}, "need at least one seed"),
+        ({"seeds": (0, -1)}, "config 'seeds' must be a list of integers >= 0"),
+        ({"study_epochs": 0}, "config 'study_epochs' must be an integer >= 1"),
+    ])
+    def test_experiment_config_checked_when_built_and_replaced(self, change, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ExperimentConfig(**change)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            replace(ExperimentConfig(), **change)
+
+    def test_least_values_name_config_keys(self):
+        keys = {f.name for c in (HyperParams, ExperimentConfig) for f in fields(c)}
+        keys |= {key for defaults in STREAM_DEFAULTS.values() for key in defaults}
+        assert set(LEAST_VALUES) <= keys
 
 
 class TestExpandGrid:

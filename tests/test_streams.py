@@ -8,6 +8,7 @@ from llb.errors import ConfigurationError, IdxFormatError
 from llb.memory import EpisodicMemory, update_eps_mem
 from llb.rng import substream
 from llb.streams import (
+    ATTRIBUTE_DRAWS,
     SYNTHETIC_CHUNK_ROWS,
     Minibatches,
     Rows,
@@ -148,6 +149,22 @@ class TestSyntheticSplitStream:
     def test_infeasible_split_rejected(self):
         with pytest.raises(ConfigurationError):
             make_synthetic_split_stream(num_classes=10, classes_per_task=5, T=3, seed=0)
+
+    def test_too_few_attributes_for_classes_rejected(self):
+        with pytest.raises(ConfigurationError, match="attributes=3 .* num_classes=10"):
+            make_synthetic_split_stream(num_classes=10, classes_per_task=2, T=2, A=3, cv_split=1)
+
+    def test_attribute_draws_bounded(self):
+        # 80 distinct rows out of 2**7 = 128 are all but impossible to draw
+        with pytest.raises(ConfigurationError, match=f"in {ATTRIBUTE_DRAWS} draws"):
+            make_synthetic_split_stream(num_classes=80, classes_per_task=5, T=2, A=7, cv_split=1)
+
+    def test_redrawn_attribute_rows_distinct(self):
+        # at seed 0, 80 classes over 10 attributes take several draws
+        cont = make_synthetic_split_stream(
+            num_classes=80, classes_per_task=5, T=2, A=10, seed=0, cv_split=1
+        )
+        assert len({tuple(row) for row in cont.attribute_matrix}) == 80
 
     def test_with_replacement_shards_disjoint(self):
         cont = make_synthetic_split_stream(
