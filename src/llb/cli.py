@@ -1,10 +1,10 @@
 """Configuration-driven experiment runner and results emitter.
 
-Subcommands: ``run`` (one experiment config), ``grid`` (the full default
-hyper-parameter sweep), ``compare`` (several learners on one stream,
-side-by-side), ``selftest`` (the oracle property suites).  Reports are
+Subcommands: ``run`` (one experiment config), ``compare`` (a learner list
+on one stream), ``grid`` (``compare`` over the full default sweep, plus
+its CV table), ``selftest`` (the oracle property suites).  Reports are
 written as nested JSON plus flat and long-format CSVs for external
-plotting; a manifest ties outputs to a content hash of the config.
+plotting; a manifest ties outputs to a content hash of the config(s).
 """
 
 from __future__ import annotations
@@ -85,14 +85,6 @@ def run_config_seeds(config: ExperimentConfig, jobs: int = 1) -> list[SeedResult
 # emission
 
 
-def _flat_row(r: MetricsReport) -> list:
-    return [
-        r.learner, r.seed, r.avg_accuracy, r.forgetting, r.lca,
-        r.worst_case_forgetting_test, r.worst_case_forgetting_memory,
-        r.violations, r.mean_step_seconds, r.param_count,
-    ]
-
-
 def emit_report(
     reports: list[MetricsReport],
     aggregate: dict,
@@ -106,26 +98,21 @@ def emit_report(
     under a fixed seed; wall-clock fields are inherently not.
     """
     os.makedirs(out_dir, exist_ok=True)
+    report = {"config": config_dict, "config_hash": config_hash(config_dict),
+              "reports": [r.to_dict() for r in reports], "aggregate": aggregate}
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as f:
-        json.dump(
-            {
-                "config": config_dict,
-                "config_hash": config_hash(config_dict),
-                "reports": [r.to_dict() for r in reports],
-                "aggregate": aggregate,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(report, f, indent=2, sort_keys=True)
 
     flat_path = os.path.join(out_dir, "results.csv")
     with open(flat_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(FLAT_HEADER)
-        for r in reports:
-            w.writerow(_flat_row(r))
+        w.writerows(
+            [r.learner, r.seed, r.avg_accuracy, r.forgetting, r.lca, r.worst_case_forgetting_test,
+             r.worst_case_forgetting_memory, r.violations, r.mean_step_seconds, r.param_count]
+            for r in reports
+        )
 
     curve_path = os.path.join(out_dir, "curves.csv")
     with open(curve_path, "w", newline="") as f:
@@ -187,8 +174,6 @@ def _load_config(args) -> ExperimentConfig:
                 raise LlbError(f"{args.config} is not valid JSON: {exc}") from None
     config = config_from_dict(data)
     overrides = {}
-    if args.learner:
-        overrides["learner"] = args.learner
     if args.stream:
         overrides["stream"] = {**config.stream, "kind": args.stream}
     if args.seeds:
@@ -202,6 +187,8 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
+    if args.learner:
+        config = replace(config, learner=args.learner)
     if args.print_config:
         print(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
         return 0
@@ -218,66 +205,63 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_grid(args) -> int:
-    """Full default sweep for each learner; emits the per-candidate CV table."""
+def _learner_configs(args) -> list[ExperimentConfig]:
+    """The config once per ``--learners`` entry (default: its own learner), all checked."""
     config = _load_config(args)
-    subs = []
-    for name in args.learners.split(",") if args.learners else [config.learner]:
+    names = args.learners.split(",") if args.learners else [config.learner]
+    if len(set(names)) < len(names):
+        raise LlbError(f"--learners names a learner twice: {args.learners}")
+    return [replace(config, learner=name) for name in names]
+
+
+def run_learners(
+    configs: list[ExperimentConfig], out_dir: str, jobs: int
+) -> tuple[dict[str, list[SeedResult]], dict]:
+    """Run each learner's config over its seeds and write one report for them
+    all: its ``config`` maps each learner to its config, and ``aggregate`` is
+    keyed by learner.  Returns each learner's seed results and the aggregate."""
+    start = time.perf_counter()
+    results = {c.learner: run_config_seeds(c, jobs=jobs) for c in configs}
+    wall = time.perf_counter() - start
+    reports = [r.report for rs in results.values() for r in rs]
+    aggregate = {name: aggregate_reports([r.report for r in rs]) for name, rs in results.items()}
+    config_map = {c.learner: config_to_dict(c) for c in configs}
+    emit_report(reports, aggregate, config_map, out_dir, wall)
+    return results, aggregate
+
+
+def cmd_grid(args) -> int:
+    """The full default sweep (lr, plus lam for EWC) per learner, and its CV table."""
+    configs = []
+    for config in _learner_configs(args):
         grid = {"lr": DEFAULT_LR_GRID}
-        if parse_learner(name)[0] == "ewc":
+        if parse_learner(config.learner)[0] == "ewc":
             grid["lam"] = DEFAULT_REG_GRID
-        subs.append(replace(config, learner=name, grid=grid))
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for sub in subs:
-        name = sub.learner
-        start = time.perf_counter()
-        results = run_config_seeds(sub, jobs=args.jobs)
-        wall = time.perf_counter() - start
-        reports = [r.report for r in results]
-        emit_report(
-            reports, aggregate_reports(reports), config_to_dict(sub),
-            os.path.join(args.out, name), wall,
-        )
-        for res in results:
-            for cand in res.cv.candidates:
-                rows.append(
-                    [name, res.report.seed, cand.hp.lr, cand.hp.lam,
-                     cand.accuracy if cand.accuracy is not None else "failed",
-                     int(cand.hp == res.cv.best)]
-                )
+        configs.append(replace(config, grid=grid))
+    results, _ = run_learners(configs, args.out, args.jobs)
     table = os.path.join(args.out, "cv_table.csv")
     with open(table, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["learner", "seed", "lr", "lam", "cv_accuracy", "selected"])
-        w.writerows(rows)
+        w.writerows(
+            [name, res.report.seed, cand.hp.lr, cand.hp.lam,
+             cand.accuracy if cand.accuracy is not None else "failed", int(cand.hp == res.cv.best)]
+            for name, seed_results in results.items()
+            for res in seed_results
+            for cand in res.cv.candidates
+        )
     print(f"wrote {table}")
     return 0
 
 
 def cmd_compare(args) -> int:
     """Run a learner list on one stream; one flat row per learner per seed."""
-    config = _load_config(args)
-    subs = [replace(config, learner=name) for name in args.learners.split(",")]
-    all_reports: list[MetricsReport] = []
-    summary = {}
-    start = time.perf_counter()
-    for sub in subs:
-        results = run_config_seeds(sub, jobs=args.jobs)
-        reports = [r.report for r in results]
-        all_reports.extend(reports)
-        summary[sub.learner] = aggregate_reports(reports)
-    wall = time.perf_counter() - start
-    emit_report(all_reports, summary, config_to_dict(config), args.out, wall)
-    print(f"{'learner':<14}{'A_T':>10}{'F_T':>10}{'LCA':>10}{'viol':>8}{'s/step':>12}")
-    for name, agg in summary.items():
-        def cell(key, scale=1.0):
-            v = agg.get(key)
-            return f"{v['mean'] * scale:>10.4f}" if v else f"{'-':>10}"
-        print(
-            f"{name:<14}{cell('A_T')}{cell('F_T')}{cell('LCA')}"
-            f"{cell('violations'):>8}{cell('mean_step_seconds'):>12}"
-        )
+    _, aggregate = run_learners(_learner_configs(args), args.out, args.jobs)
+    print(f"{'learner':<14}{'A_T':>10}{'F_T':>10}{'LCA':>10}{'viol':>10}{'s/step':>12}")
+    for name, agg in aggregate.items():
+        cells = [f"{agg[key]['mean']:>10.4f}" if agg.get(key) else f"{'-':>10}"
+                 for key in ("A_T", "F_T", "LCA", "violations", "mean_step_seconds")]
+        print(f"{name:<14}{''.join(cells[:4])}{cells[4]:>12}")
     return 0
 
 
@@ -288,16 +272,16 @@ def cmd_selftest(args) -> int:
     return selftest.run_all(fast=args.fast)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="llb",
         description="single-pass lifelong-learning benchmark harness",
     )
+    # no subcommand takes abbreviated flags, so "--learner" cannot pass for "--learners"
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--learner", help="learner name (optional -je suffix)")
         p.add_argument("--stream", choices=["permuted-mnist", "synthetic-split"])
         p.add_argument("--seeds", help="comma-separated seed list")
         p.add_argument("--hidden", help="comma-separated hidden widths")
@@ -306,26 +290,30 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", default="llb-out")
 
-    p_run = sub.add_parser("run", help="run one experiment config")
+    p_run = sub.add_parser("run", help="run one experiment config", allow_abbrev=False)
     common(p_run)
+    p_run.add_argument("--learner", help="learner name (optional -je suffix)")
     p_run.add_argument("--print-config", action="store_true")
     p_run.set_defaults(fn=cmd_run)
 
-    p_grid = sub.add_parser("grid", help="full default hyper-parameter sweep")
+    p_grid = sub.add_parser("grid", help="full default hyper-parameter sweep", allow_abbrev=False)
     common(p_grid)
-    p_grid.add_argument("--learners", help="comma-separated learner list")
+    p_grid.add_argument("--learners", help="comma-separated learner list (default: the config's)")
     p_grid.set_defaults(fn=cmd_grid)
 
-    p_cmp = sub.add_parser("compare", help="side-by-side learner comparison")
+    p_cmp = sub.add_parser("compare", help="side-by-side learner comparison", allow_abbrev=False)
     common(p_cmp)
     p_cmp.add_argument("--learners", default="vanilla,ewc,agem,gem")
     p_cmp.set_defaults(fn=cmd_compare)
 
-    p_self = sub.add_parser("selftest", help="run the oracle property suites")
+    p_self = sub.add_parser("selftest", help="run the oracle property suites", allow_abbrev=False)
     p_self.add_argument("--fast", action="store_true", help="smaller sample sizes")
     p_self.set_defaults(fn=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (LlbError, FileNotFoundError) as exc:

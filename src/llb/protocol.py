@@ -36,6 +36,8 @@ from .streams import (
     BaseData,
     Continuum,
     TaskDataset,
+    check_class_split,
+    check_cv_split,
     load_mnist_idx,
     make_permuted_stream,
     make_synthetic_split_stream,
@@ -191,7 +193,12 @@ def check_stream(stream: dict) -> dict:
     for key, value in stream.items():
         if key != "kind":
             check_value("stream", key, value, defaults[key])
-    return {**defaults, **stream, "kind": kind}
+    s = {**defaults, **stream, "kind": kind}
+    check_cv_split(s["tasks"], s["cv_split"])
+    if kind == "synthetic-split":
+        check_class_split(s["num_classes"], s["classes_per_task"], s["tasks"],
+                          s["attributes"], s["with_replacement"])
+    return s
 
 
 def build_stream(stream: dict, seed: int) -> Continuum:

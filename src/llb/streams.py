@@ -112,6 +112,27 @@ class TaskDataset:
         return len(self.label_set)
 
 
+def check_cv_split(tasks: int, cv_split: int) -> None:
+    """The CV stream is a non-empty prefix of the tasks that leaves EV tasks."""
+    if not 1 <= cv_split < tasks:
+        raise ConfigurationError(f"cv_split={cv_split} must be at least 1 and below tasks={tasks}")
+
+
+def check_class_split(num_classes: int, classes_per_task: int, tasks: int, attributes: int,
+                      with_replacement: bool) -> None:
+    """Each task's classes, and without replacement all tasks' classes, fit in
+    ``num_classes``, and ``attributes`` bits can give every class its own row."""
+    if not 1 <= classes_per_task <= num_classes:
+        raise ConfigurationError(f"classes_per_task={classes_per_task} must be at least 1 "
+                                 f"and at most num_classes={num_classes}")
+    if not with_replacement and tasks * classes_per_task > num_classes:
+        raise ConfigurationError(f"tasks={tasks} x classes_per_task={classes_per_task} without "
+                                 f"replacement exceeds num_classes={num_classes}")
+    if 2**attributes < num_classes:
+        raise ConfigurationError(f"attributes={attributes} give at most {2**attributes} distinct "
+                                 f"attribute rows, fewer than num_classes={num_classes}")
+
+
 @dataclass
 class Continuum:
     """Ordered task sequence with the cross-validation split index.
@@ -128,10 +149,7 @@ class Continuum:
     class_means: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (1 <= self.cv_split < len(self.tasks)):
-            raise ConfigurationError(
-                f"cv_split must satisfy 1 <= {self.cv_split} < T={len(self.tasks)}"
-            )
+        check_cv_split(len(self.tasks), self.cv_split)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -253,8 +271,6 @@ def make_permuted_stream(
     inputs are ``Rows`` over the shared base arrays, so the stream holds
     index arrays, not copies.  Deterministic in ``seed``.
     """
-    if T < 2:
-        raise ConfigurationError("a continuum needs T >= 2 tasks")
     dim = base.train_x.shape[1]
     label_set = tuple(range(base.num_classes))
     tasks = []
@@ -306,19 +322,7 @@ def make_synthetic_split_stream(
     disjoint shards across occurrences so no training example is ever seen
     twice.
     """
-    if T < 2 or classes_per_task < 1:
-        raise ConfigurationError("need T >= 2 and classes_per_task >= 1")
-    if not with_replacement and T * classes_per_task > num_classes:
-        raise ConfigurationError(
-            f"{T} x {classes_per_task} classes without replacement exceeds {num_classes}"
-        )
-    if classes_per_task > num_classes:
-        raise ConfigurationError("classes_per_task exceeds num_classes")
-    if 2**A < num_classes:
-        raise ConfigurationError(
-            f"attributes={A} give at most {2**A} distinct attribute rows, "
-            f"fewer than num_classes={num_classes}"
-        )
+    check_class_split(num_classes, classes_per_task, T, A, with_replacement)
 
     rng = substream(seed, "split-stream")
     # Globally distinct binary attribute rows so descriptors separate classes.

@@ -33,14 +33,13 @@ TOY = {
 TIMING_KEYS = ("mean_step_seconds", "step_seconds_by_task")
 
 
-def metric_content(report: dict) -> dict:
-    """report.json without its wall-clock fields."""
-
-    def strip(d):
-        return {k: v for k, v in d.items() if k not in TIMING_KEYS}
-
-    return {**report, "aggregate": strip(report["aggregate"]),
-            "reports": [strip(r) for r in report["reports"]]}
+def metric_content(report):
+    """report.json without its wall-clock fields, at any depth."""
+    if isinstance(report, dict):
+        return {k: metric_content(v) for k, v in report.items() if k not in TIMING_KEYS}
+    if isinstance(report, list):
+        return [metric_content(v) for v in report]
+    return report
 
 
 @pytest.fixture
@@ -154,6 +153,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "train_per_tsk" in err and "'train_per_task'" in err
+
+    @pytest.mark.parametrize("stream,keys", [
+        ({**TOY["stream"], "tasks": 3, "cv_split": 3}, ["cv_split=3", "tasks=3"]),
+        ({"kind": "synthetic-split", "tasks": 30, "classes_per_task": 5, "num_classes": 20},
+         ["tasks=30", "classes_per_task=5", "num_classes=20"]),
+        ({"kind": "synthetic-split", "classes_per_task": 9, "num_classes": 8, "attributes": 3,
+          "with_replacement": True}, ["classes_per_task=9", "num_classes=8"]),
+        ({"kind": "synthetic-split", "tasks": 4, "num_classes": 20, "attributes": 4},
+         ["attributes=4", "num_classes=20"]),
+    ])
+    def test_unrunnable_stream_exit_2(self, stream, keys, tmp_path, capsys):
+        # cross-key stream limits are checked with the config, before any stream is built
+        path = tmp_path / "stream.json"
+        path.write_text(json.dumps({**TOY, "stream": stream}))
+        assert main(["run", "--config", str(path), "--print-config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(key in err for key in keys)
 
     @pytest.mark.parametrize("stream,message", [
         ({**TOY["stream"], "tasks": "4"}, "stream 'tasks' must be an integer >= 2"),
@@ -269,6 +285,12 @@ class TestEmitReport:
         ).read_bytes()
 
 
+def two_task_toy(tmp_path) -> str:
+    path = tmp_path / "toy2.json"
+    path.write_text(json.dumps({**TOY, "stream": {**TOY["stream"], "tasks": 2, "cv_split": 1}}))
+    return str(path)
+
+
 class TestCompareAndGrid:
     def test_compare_csv_one_row_per_learner_per_seed(self, toy_config, tmp_path, capsys):
         out = str(tmp_path / "cmp")
@@ -282,29 +304,93 @@ class TestCompareAndGrid:
         assert learners == {"vanilla", "agem"}
 
     @pytest.mark.parametrize("command", ["compare", "grid"])
+    def test_report_names_each_learner_config(self, command, tmp_path, capsys):
+        out = str(tmp_path / command)
+        assert main([command, "--config", two_task_toy(tmp_path), "--learners", "vanilla,ewc",
+                     "--out", out]) == 0
+        report = json.load(open(os.path.join(out, "report.json")))
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        for written in (report, manifest):
+            assert sorted(written["config"]) == ["ewc", "vanilla"]
+            assert written["config_hash"] == config_hash(written["config"])
+            for name, config in written["config"].items():
+                assert config["learner"] == name
+        assert report["config"] == manifest["config"]
+        assert sorted(report["aggregate"]) == ["ewc", "vanilla"]
+        assert {r["learner"] for r in report["reports"]} == {"ewc", "vanilla"}
+        # grid sweeps the default grid, and lam for EWC only
+        ewc_grid = report["config"]["ewc"]["grid"]
+        if command == "grid":
+            assert ewc_grid == {"lr": cli.DEFAULT_LR_GRID, "lam": cli.DEFAULT_REG_GRID}
+            assert report["config"]["vanilla"]["grid"] == {"lr": cli.DEFAULT_LR_GRID}
+        else:
+            assert ewc_grid == TOY["grid"]
+
+    def test_compare_hash_depends_on_learner_list(self, toy_config, tmp_path, capsys):
+        hashes = set()
+        for learners in ("vanilla,agem", "vanilla,gem"):
+            out = str(tmp_path / learners)
+            assert main(["compare", "--config", toy_config, "--learners", learners,
+                         "--out", out]) == 0
+            hashes.add(json.load(open(os.path.join(out, "manifest.json")))["config_hash"])
+        assert len(hashes) == 2
+
+    def test_compare_parallel_jobs(self, toy_config, tmp_path, capsys):
+        reports = {}
+        for jobs in (2, 1):
+            out = str(tmp_path / f"jobs{jobs}")
+            assert main(["compare", "--config", toy_config, "--learners", "vanilla,agem",
+                         "--seeds", "0,1", "--jobs", str(jobs), "--out", out]) == 0
+            reports[jobs] = json.load(open(os.path.join(out, "report.json")))
+        assert sorted(reports[2]["aggregate"]) == ["agem", "vanilla"]
+        assert metric_content(reports[2]) == metric_content(reports[1])
+
+    @pytest.mark.parametrize("command", ["compare", "grid"])
+    def test_learner_flag_removed(self, command, toy_config, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", toy_config, "--learner", "agem",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --learner" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "grid"])
     def test_unknown_learner_rejected_before_any_run(self, command, toy_config, tmp_path,
                                                      capsys, monkeypatch):
-        ran = []
-        monkeypatch.setattr(cli, "run_config_seeds", lambda config, jobs=1: ran.append(config))
+        ran, run = [], cli.run_config_seeds
+        monkeypatch.setattr(cli, "run_config_seeds",
+                            lambda config, jobs=1: ran.append(config) or run(config, jobs))
         code = main([command, "--config", toy_config, "--learners", "agem,bogus",
                      "--out", str(tmp_path / "out")])
         assert code == 2 and ran == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "unknown learner 'bogus'" in err
+        # the patched function is the one that runs seeds
+        assert main([command, "--config", two_task_toy(tmp_path), "--learners", "vanilla",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert [c.learner for c in ran] == ["vanilla"]
+
+    @pytest.mark.parametrize("command", ["compare", "grid"])
+    def test_repeated_learner_rejected_before_any_run(self, command, toy_config, tmp_path,
+                                                      capsys, monkeypatch):
+        # the report's config and aggregate are keyed by learner, one entry each
+        ran = []
+        monkeypatch.setattr(cli, "run_config_seeds", lambda config, jobs=1: ran.append(config))
+        code = main([command, "--config", toy_config, "--learners", "agem,vanilla,agem",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2 and ran == []
+        assert "--learners names a learner twice" in capsys.readouterr().err
 
     def test_grid_emits_cv_table(self, tmp_path):
-        config = dict(TOY)
-        config["stream"] = {**TOY["stream"], "tasks": 2, "cv_split": 1}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
         out = str(tmp_path / "grid")
-        assert main(["grid", "--config", str(path), "--learners", "vanilla",
+        assert main(["grid", "--config", two_task_toy(tmp_path), "--learners", "vanilla",
                      "--out", out]) == 0
         with open(os.path.join(out, "cv_table.csv")) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["learner", "seed", "lr", "lam", "cv_accuracy", "selected"]
         assert len(rows) == 1 + 8  # the eight-point default learning-rate grid
         assert sum(int(r[5]) for r in rows[1:]) == 1
+        # one layout: no per-learner directory
+        assert not os.path.exists(os.path.join(out, "vanilla"))
 
 
 class TestSelftest:

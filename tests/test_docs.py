@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
+import re
 from dataclasses import fields
 
+from llb.cli import build_parser
 from llb.protocol import STREAM_DEFAULTS, ExperimentConfig, HyperParams
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -29,3 +32,15 @@ def test_json_example_lists_every_field():
         assert f'"{f.name}":' in example, f.name
     for f in fields(HyperParams):
         assert f'"{f.name}": {json.dumps(f.default)}' in example, f.name
+
+
+def test_command_line_section_names_every_flag():
+    section = readme_section("## Command line")
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in commands.choices.items():
+        assert f"llb {name}" in section, name
+        for action in parser._actions:
+            for flag in action.option_strings:
+                if flag not in ("-h", "--help"):
+                    # "--learner" must not be read off "--learners"
+                    assert re.search(re.escape(flag) + r"(?![\w-])", section), (name, flag)
