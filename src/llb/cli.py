@@ -75,8 +75,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def run_config_seeds(config: ExperimentConfig, jobs: int = 1) -> list[SeedResult]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """Each seed's result, in seed order; with ``jobs`` > 1 the seeds run in
+    worker processes, never more workers than seeds."""
+    workers = min(jobs, len(config.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_seed, [config] * len(config.seeds), config.seeds))
     return [run_seed(config, seed) for seed in config.seeds]
 
@@ -165,6 +168,8 @@ def _int_flag(flag: str, text: str) -> tuple[int, ...]:
 def _load_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the command-line overrides applied;
     a malformed file or flag raises LlbError."""
+    if args.jobs < 1:
+        raise LlbError(f"--jobs must be at least 1, got {args.jobs}")
     data = {}
     if args.config:
         with open(args.config) as f:

@@ -447,7 +447,8 @@ def cross_validate(
     """Train each candidate on the CV stream; best final average accuracy wins.
 
     Ties keep the first candidate in grid order.  Selection reads only CV
-    test accuracies.
+    test accuracies.  A candidate whose run fails numerically scores
+    ``None``; a failed audit of a CV run raises its own ``ProtocolError``.
     """
     if not grid:
         raise ConfigurationError("empty hyper-parameter grid")
@@ -462,7 +463,9 @@ def cross_validate(
                 _, run = run_single_pass(learner, cv_tasks, hp, seed, allow_multi_epoch=True)
                 acc = avg_accuracy(run.tensor, cv_tasks[-1].task_id)
             candidates.append(CvCandidate(hp, acc))
-        except (NumericError, ProtocolError):
+        except (NumericError, ProtocolError) as exc:
+            if not isinstance(exc, NumericError) and not isinstance(exc.__cause__, NumericError):
+                raise
             candidates.append(CvCandidate(hp, None))
     scored = [c for c in candidates if c.accuracy is not None]
     if not scored:
@@ -542,6 +545,11 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown learner {self.learner!r}; valid: {', '.join(LEARNER_NAMES)}"
                 " (each optionally with a -je suffix)"
+            )
+        if parse_learner(self.learner)[0] == "multitask" and self.study_epochs != 1:
+            raise ConfigurationError(
+                f"config 'study_epochs' must be 1 when 'learner' is {self.learner!r}, "
+                f"got {self.study_epochs!r}"
             )
         check_stream(self.stream)
         expand_grid(self.base, self.grid)

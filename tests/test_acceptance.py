@@ -1,9 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line.  The trend criteria run the full
-protocol at desk scale on the deterministic synthetic streams with fixed
-seeds (0, 1, 2); aggregate clauses compare 3-seed means, per-boundary
-clauses hold for every seed, as stated per criterion.
+Each test prints one PASS/FAIL line.  Criteria 1, 2, 4 and 5 are the
+oracle suites of ``llb selftest`` at full size.  The trend criteria run
+the full protocol at desk scale on the deterministic synthetic streams
+with fixed seeds (0, 1, 2); aggregate clauses compare 3-seed means,
+per-boundary clauses hold for every seed, as stated per criterion.
 """
 
 import time
@@ -13,41 +14,25 @@ import numpy as np
 import pytest
 
 from llb import nn
-from llb.embedding import je_loss_and_grad, zero_shot_eval
+from llb.embedding import zero_shot_eval
 from llb.errors import ConfigurationError, ProtocolError
-from llb.learners import agem_project, make_learner
+from llb.learners import make_learner
 from llb.memory import EpisodicMemory, update_eps_mem
-from llb.metrics import (
-    AccuracyTensor,
-    avg_accuracy,
-    forgetting,
-    lca,
-    record,
-    worst_case_forgetting,
-    zero_shot_series,
-)
-from llb.oracles import (
-    brute_force_metrics,
-    finite_diff_grad,
-    halfspace_projection_nnls,
-    nonneg_qp_enumeration,
-)
+from llb.metrics import AccuracyTensor, avg_accuracy, forgetting, lca, record, zero_shot_series
 from llb.protocol import (
+    ExperimentConfig,
     HyperParams,
     arch_for_stream,
     audit_isolation,
     audit_reset,
     audit_single_pass,
     build_stream,
-    cross_validate,
-    eval_all,
+    run_seed,
     run_single_pass,
     split_cv_ev,
 )
-from llb.qp import DualProblem, reconstruct, solve_nonneg_qp
-from llb.rng import substream
+from llb.selftest import SUITES, check_dual_qp, check_gradients, check_metrics, check_projection
 from llb.streams import make_synthetic_split_stream, minibatches
-from llb.learners import multitask_train
 
 SEEDS = (0, 1, 2)
 
@@ -60,7 +45,8 @@ DESK_STREAM = {
 }
 DESK_HP = HyperParams(lr=0.03, memory_per_task=250, ref_batch_size=256,
                       batch_size=10, beta=10)
-DESK_GRID = [replace(DESK_HP, lr=v) for v in (0.1, 0.03, 0.01)]
+DESK_CONFIG = ExperimentConfig(stream=DESK_STREAM, hidden=(256, 256), base=DESK_HP,
+                               grid={"lr": [0.1, 0.03, 0.01]}, seeds=SEEDS)
 
 EFFICIENCY_STREAM = {
     "kind": "permuted-mnist",
@@ -78,56 +64,25 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: projection correctness
+# criteria 1, 2, 4 and 5: the oracle suites of ``llb selftest`` at full size
+
+
+def run_suite(check):
+    """One ``llb.selftest`` suite at its full size: (ok, detail, seconds)."""
+    size = next(full for _, fn, full, _ in SUITES if fn is check)
+    start = time.perf_counter()
+    ok, detail = check(size)
+    return ok, detail, time.perf_counter() - start
 
 
 def test_01_projection_correctness():
-    rng = np.random.default_rng(2024)
-    start = time.perf_counter()
-    worst_ortho = worst_gap = 0.0
-    for _ in range(10_000):
-        p = int(rng.integers(2, 513))
-        g = rng.normal(size=p)
-        g_ref = rng.normal(size=p)
-        proj = agem_project(g, g_ref)
-        if g @ g_ref >= 0.0:
-            assert not proj.violated and proj.g_tilde is g
-            continue
-        assert proj.violated
-        rel = abs(proj.g_tilde @ g_ref) / (np.linalg.norm(g) * np.linalg.norm(g_ref))
-        worst_ortho = max(worst_ortho, rel)
-        z = halfspace_projection_nnls(g, g_ref)
-        gap = abs(np.linalg.norm(g - proj.g_tilde) - np.linalg.norm(g - z))
-        worst_gap = max(worst_gap, gap)
-    elapsed = time.perf_counter() - start
-    ok = worst_ortho <= 1e-9 and worst_gap <= 1e-6 and elapsed < 10.0
-    report(1, ok, f"10000 pairs, orthogonality {worst_ortho:.2e}, "
-                  f"solver gap {worst_gap:.2e}, {elapsed:.1f}s (< 10s)")
-
-
-# ---------------------------------------------------------------------------
-# criterion 2: GEM dual soundness
+    ok, detail, secs = run_suite(check_projection)
+    report(1, ok and secs < 10.0, f"{detail}, {secs:.1f}s (< 10s)")
 
 
 def test_02_dual_qp_soundness():
-    rng = np.random.default_rng(7)
-    start = time.perf_counter()
-    worst_obj = worst_feas = 0.0
-    for _ in range(1000):
-        t = int(rng.integers(1, 6))
-        p = int(rng.integers(max(t, 2), 21))
-        G = rng.normal(size=(t, p))
-        g = rng.normal(size=p)
-        problem = DualProblem.from_gradients(G, g)
-        sol = solve_nonneg_qp(problem)
-        v_star = nonneg_qp_enumeration(problem)
-        worst_obj = max(worst_obj, problem.objective(sol.v) - problem.objective(v_star))
-        slack = float(np.min(G @ reconstruct(g, G, sol.v)))
-        worst_feas = max(worst_feas, max(0.0, -slack))
-    elapsed = time.perf_counter() - start
-    ok = worst_obj <= 1e-6 and worst_feas <= 1e-6 and elapsed < 30.0
-    report(2, ok, f"1000 instances, objective gap {worst_obj:.2e}, "
-                  f"infeasibility {worst_feas:.2e}, {elapsed:.1f}s (< 30s)")
+    ok, detail, secs = run_suite(check_dual_qp)
+    report(2, ok and secs < 30.0, f"{detail}, {secs:.1f}s (< 30s)")
 
 
 # ---------------------------------------------------------------------------
@@ -166,88 +121,16 @@ def test_03_single_constraint_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: gradient exactness
+# criterion 4: gradient exactness, and 5: metrics oracle
 
 
 def test_04_gradient_exactness():
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for i in range(20):
-        je = i % 2 == 1
-        if je:
-            arch = nn.Architecture(
-                int(rng.integers(4, 9)), (int(rng.integers(6, 12)), int(rng.integers(4, 9))),
-                head_mode=nn.JOINT_EMBEDDING, attr_count=int(rng.integers(3, 7)),
-            )
-        else:
-            arch = nn.mlp(
-                int(rng.integers(4, 9)), (int(rng.integers(6, 12)), int(rng.integers(4, 9))),
-                [int(rng.integers(2, 5)), int(rng.integers(2, 5))],
-            )
-        model = nn.init_model(arch, seed=int(rng.integers(1 << 30)))
-        n = int(rng.integers(3, 9))
-        x = rng.normal(size=(n, arch.input_dim))
-        if je:
-            classes = int(rng.integers(2, 5))
-            desc = rng.integers(0, 2, size=(classes, arch.attr_count)).astype(float)
-            y = rng.integers(0, classes, size=n)
-            batch = nn.Batch(x, y, task=1)
-            _, grad = je_loss_and_grad(model, batch, desc)
-
-            def loss_fn(theta, b=batch, d=desc, a=arch):
-                return je_loss_and_grad(nn.Model(a, theta), b, d)[0]
-
-        else:
-            y = rng.integers(0, dict(arch.heads)[1], size=n)
-            batch = nn.Batch(x, y, task=1)
-            _, grad = nn.loss_and_grad(model, batch)
-
-            def loss_fn(theta, b=batch, a=arch):
-                return nn.loss_and_grad(nn.Model(a, theta), b)[0]
-
-        coords = rng.choice(len(model.theta), size=min(500, len(model.theta)), replace=False)
-        fd = finite_diff_grad(loss_fn, model.theta, coords)
-        rel = np.linalg.norm(grad[coords] - fd) / max(np.linalg.norm(fd), 1e-300)
-        worst = max(worst, rel)
-    ok = worst < 1e-6
-    report(4, ok, f"20 models (10 per-task, 10 joint-embedding), "
-                  f"worst relative error {worst:.2e} (< 1e-6)")
-
-
-# ---------------------------------------------------------------------------
-# criterion 5: metrics oracle
-
-
-def _random_dense_tensor(rng):
-    T = int(rng.integers(2, 7))
-    beta = int(rng.integers(0, 4))
-    tensor = AccuracyTensor(order=list(range(1, T + 1)))
-    for k in tensor.order:
-        bk = int(rng.integers(beta + 1, beta + 5))
-        tensor.batch_counts[k] = bk
-        for b in range(beta + 1):
-            record(tensor, k, b, k, float(rng.random()))
-        for j in tensor.order:
-            record(tensor, k, bk, j, float(rng.random()))
-    return tensor, beta
+    ok, detail, _ = run_suite(check_gradients)
+    report(4, ok, detail)
 
 
 def test_05_metrics_oracle():
-    rng = np.random.default_rng(99)
-    exact = True
-    for _ in range(500):
-        tensor, beta = _random_dense_tensor(rng)
-        ref = brute_force_metrics(tensor, beta)
-        for k in tensor.order:
-            exact &= avg_accuracy(tensor, k) == ref["A"][k]
-            if k in ref["F"]:
-                f_k, per = forgetting(tensor, k)
-                exact &= f_k == ref["F"][k] and per == ref["f"][k]
-                exact &= worst_case_forgetting(tensor, k) == ref["F_wst"][k]
-        curve, area = lca(tensor, beta)
-        exact &= curve == ref["Z"] and area == ref["LCA"]
-        exact &= zero_shot_series(tensor) == ref["zero_shot"]
-
+    ok, detail, _ = run_suite(check_metrics)
     hand = AccuracyTensor(order=[1, 2], batch_counts={1: 4, 2: 4})
     record(hand, 2, 4, 1, 0.6)
     record(hand, 2, 4, 2, 0.8)
@@ -260,41 +143,21 @@ def test_05_metrics_oracle():
     record(lca_t, 1, 1, 1, 0.6)
     _, lca1 = lca(lca_t, 1)
     hands = (a2 == 0.7, abs(f2 - 0.2) < 1e-15, lca1 == 0.5)
-    ok = exact and all(hands)
-    report(5, ok, f"500 random logs bit-exact={exact}; hand examples "
-                  f"A_2=0.7:{hands[0]} F_2=0.2:{hands[1]} LCA_1=0.5:{hands[2]}")
+    report(5, ok and all(hands), f"{detail}; hand examples "
+                                 f"A_2=0.7:{hands[0]} F_2=0.2:{hands[1]} LCA_1=0.5:{hands[2]}")
 
 
 # ---------------------------------------------------------------------------
 # criteria 6 and 10: desk-scale trend and protocol hygiene
 
 
-def _desk_protocol_run(learner_name: str, seed: int):
-    """Full protocol on the desk stream; returns (A_T, F_T, trace, arch)."""
-    continuum = build_stream(DESK_STREAM, seed)
-    arch = arch_for_stream(continuum, (256, 256), False)
-    cv_tasks, ev_tasks = split_cv_ev(continuum)
-    cv = cross_validate(learner_name, cv_tasks, arch, DESK_GRID, seed)
-    if learner_name == "multitask":
-        model = nn.init_model(arch, seed)
-        model, visits = multitask_train(model, ev_tasks, cv.best, seed)
-        audit_single_pass(visits, ev_tasks, 1)
-        audit_isolation(cv_tasks, ev_tasks, set(), set(visits))
-        return float(np.mean(eval_all(model, ev_tasks))), None, None, arch
-    learner = make_learner(learner_name, nn.init_model(arch, seed), cv.best, seed)
-    audit_reset(learner, arch, seed)
-    _, trace = run_single_pass(learner, ev_tasks, cv.best, seed)
-    audit_isolation(cv_tasks, ev_tasks, set(), set(trace.visit_counts))
-    last = ev_tasks[-1].task_id
-    tensor = trace.tensor
-    return avg_accuracy(tensor, last), forgetting(tensor, last)[0], trace, arch
-
-
 @pytest.fixture(scope="module")
 def desk_runs():
+    """Each learner's seed reports from ``run_seed``: selection over the lr
+    grid, the reset audit, the single pass and the isolation audit."""
     start = time.perf_counter()
     out = {
-        name: [_desk_protocol_run(name, seed) for seed in SEEDS]
+        name: [run_seed(replace(DESK_CONFIG, learner=name), seed).report for seed in SEEDS]
         for name in ("vanilla", "agem", "ewc", "multitask")
     }
     out["elapsed"] = time.perf_counter() - start
@@ -303,11 +166,11 @@ def desk_runs():
 
 def test_06_desk_scale_permuted_trend(desk_runs):
     mean_a = {
-        name: float(np.mean([r[0] for r in desk_runs[name]]))
+        name: float(np.mean([r.avg_accuracy for r in desk_runs[name]]))
         for name in ("vanilla", "agem", "ewc", "multitask")
     }
     mean_f = {
-        name: float(np.mean([r[1] for r in desk_runs[name]]))
+        name: float(np.mean([r.forgetting for r in desk_runs[name]]))
         for name in ("vanilla", "agem")
     }
     gap = mean_a["agem"] - mean_a["vanilla"]

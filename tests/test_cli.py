@@ -78,6 +78,37 @@ class TestRunCommand:
         for path in manifest["outputs"]["per_seed"].values():
             assert os.path.exists(path)
 
+    @pytest.mark.parametrize("command", ["run", "compare", "grid"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, command, jobs, toy_config, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_config_seeds", lambda config, jobs=1: ran.append(config))
+        code = main([command, "--config", toy_config, "--jobs", jobs, "--out", str(tmp_path / "x")])
+        assert code == 2 and ran == []
+        assert capsys.readouterr().err.startswith(f"error: --jobs must be at least 1, got {jobs}")
+
+    def test_no_more_workers_than_seeds(self, toy_config, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:          # runs in-process, records the pool size asked for
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        for seeds, jobs in (("0,1", 64), ("0", 8), ("0,1,2", 2)):
+            assert main(["run", "--config", toy_config, "--seeds", seeds, "--jobs", str(jobs),
+                         "--out", str(tmp_path / f"j{jobs}")]) == 0
+        assert sizes == [2, 2]
+
     def test_parallel_jobs(self, toy_config, tmp_path, capsys):
         reports = {}
         for jobs in (2, 1):

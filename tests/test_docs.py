@@ -6,6 +6,7 @@ from dataclasses import fields
 
 from llb.cli import build_parser
 from llb.protocol import STREAM_DEFAULTS, ExperimentConfig, HyperParams
+from llb.selftest import SUITES
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -44,3 +45,9 @@ def test_command_line_section_names_every_flag():
                 if flag not in ("-h", "--help"):
                     # "--learner" must not be read off "--learners"
                     assert re.search(re.escape(flag) + r"(?![\w-])", section), (name, flag)
+
+
+def test_install_section_names_every_selftest_suite():
+    section = " ".join(readme_section("## Install and test").split())    # unwrapped
+    for name, *_ in SUITES:
+        assert name in section, name

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from llb import nn
+from llb import nn, protocol
 from llb.errors import ConfigurationError, ProtocolError
 from llb.learners import LearnerState, make_learner
 from llb.metrics import AccuracyTensor, avg_accuracy
@@ -489,6 +489,8 @@ class TestConfigValues:
         ({"seeds": ()}, "need at least one seed"),
         ({"seeds": (0, -1)}, "config 'seeds' must be a list of integers >= 0"),
         ({"study_epochs": 0}, "config 'study_epochs' must be an integer >= 1"),
+        ({"learner": "multitask", "study_epochs": 3},
+         "config 'study_epochs' must be 1 when 'learner' is 'multitask', got 3"),
     ])
     def test_experiment_config_checked_when_built_and_replaced(self, change, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -573,6 +575,25 @@ class TestRunSeed:
         r = run_seed(config, 0).report
         assert len(r.zero_shot) == 3
         assert r.violations > 0
+
+    def test_cv_audit_failure_is_not_a_numeric_failure(self, monkeypatch):
+        # an EV training example in the first CV batch fails the CV run's own
+        # single-pass audit, which names itself instead of scoring the candidate None
+        config = self.config()
+        ev_id = split_cv_ev(build_stream(config.stream, 0))[1][0].train_ids[0]
+        real, calls = protocol.minibatches, []
+
+        def leaky(dataset, *args):
+            batches = list(real(dataset, *args))
+            if not calls:
+                batches[0] = replace(batches[0], ids=np.append(ev_id, batches[0].ids[1:]))
+            calls.append(dataset.task_id)
+            return batches
+
+        monkeypatch.setattr(protocol, "minibatches", leaky)
+        with pytest.raises(ProtocolError, match="single-pass audit"):
+            run_seed(config, 0)
+        assert len(calls) == 1
 
     def test_je_on_integer_stream_rejected(self):
         with pytest.raises(ConfigurationError, match="integer task ids"):
