@@ -1,10 +1,10 @@
 """Configuration-driven experiment runner and results emitter.
 
 Subcommands: ``run`` (one experiment config), ``compare`` (a learner list
-on one stream), ``grid`` (``compare`` over the full default sweep, plus
-its CV table), ``selftest`` (the oracle property suites).  Reports are
-written as nested JSON plus flat and long-format CSVs for external
-plotting; a manifest ties outputs to a content hash of the config(s).
+on one stream), ``grid`` (``compare`` over the full default sweep) and
+``selftest`` (the oracle property suites).  The first three write one
+layout: nested JSON keyed by learner, flat and long-format CSVs for
+external plotting, and the CV table of every candidate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 from .errors import LlbError
 from .metrics import MetricsReport
@@ -39,6 +39,7 @@ FLAT_HEADER = [
     "violations", "mean_step_seconds", "params",
 ]
 CURVE_HEADER = ["learner", "seed", "kind", "task", "x", "value"]
+CV_HP_COLUMNS = [f.name for f in fields(HyperParams)]
 
 
 def config_hash(config_dict: dict) -> str:
@@ -94,21 +95,20 @@ def emit_report(
     config_dict: dict,
     out_dir: str,
     wall_seconds: float,
-) -> dict:
-    """Write report.json, results.csv, curves.csv, and manifest.json.
+) -> None:
+    """Write report.json, results.csv and curves.csv.
 
-    Returns the manifest.  All metric content is reproducible byte-for-byte
-    under a fixed seed; wall-clock fields are inherently not.
+    All metric content is reproducible byte-for-byte under a fixed seed;
+    wall-clock fields are inherently not.
     """
     os.makedirs(out_dir, exist_ok=True)
     report = {"config": config_dict, "config_hash": config_hash(config_dict),
-              "reports": [r.to_dict() for r in reports], "aggregate": aggregate}
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as f:
+              "reports": [r.to_dict() for r in reports], "aggregate": aggregate,
+              "wall_seconds": wall_seconds}
+    with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
 
-    flat_path = os.path.join(out_dir, "results.csv")
-    with open(flat_path, "w", newline="") as f:
+    with open(os.path.join(out_dir, "results.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(FLAT_HEADER)
         w.writerows(
@@ -117,8 +117,7 @@ def emit_report(
             for r in reports
         )
 
-    curve_path = os.path.join(out_dir, "curves.csv")
-    with open(curve_path, "w", newline="") as f:
+    with open(os.path.join(out_dir, "curves.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(CURVE_HEADER)
         for r in reports:
@@ -128,30 +127,6 @@ def emit_report(
                 w.writerow([r.learner, r.seed, "zb", "", b, z])
             for task, acc in r.zero_shot:
                 w.writerow([r.learner, r.seed, "zero_shot", task, task, acc])
-
-    seed_dir = os.path.join(out_dir, "seeds")
-    os.makedirs(seed_dir, exist_ok=True)
-    seed_paths = {}
-    for r in reports:
-        path = os.path.join(seed_dir, f"{r.learner}_seed{r.seed}.json")
-        with open(path, "w") as f:
-            json.dump(r.to_dict(), f, indent=2, sort_keys=True)
-        seed_paths[f"{r.learner}/{r.seed}"] = path
-
-    manifest = {
-        "config": config_dict,
-        "config_hash": config_hash(config_dict),
-        "outputs": {
-            "report": report_path,
-            "results_csv": flat_path,
-            "curves_csv": curve_path,
-            "per_seed": seed_paths,
-        },
-        "wall_seconds": wall_seconds,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +172,7 @@ def cmd_run(args) -> int:
     if args.print_config:
         print(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
         return 0
-    start = time.perf_counter()
-    results = run_config_seeds(config, jobs=args.jobs)
-    wall = time.perf_counter() - start
-    reports = [r.report for r in results]
-    aggregate = aggregate_reports(reports)
-    manifest = emit_report(reports, aggregate, config_to_dict(config), args.out, wall)
-    print(f"wrote {manifest['outputs']['report']}")
-    for key, value in aggregate.items():
-        if value is not None:
-            print(f"  {key}: {value['mean']:.4f} (+- {value['std']:.4f}, n={value['n']})")
+    run_learners([config], args.out, args.jobs)
     return 0
 
 
@@ -219,54 +185,50 @@ def _learner_configs(args) -> list[ExperimentConfig]:
     return [replace(config, learner=name) for name in names]
 
 
-def run_learners(
-    configs: list[ExperimentConfig], out_dir: str, jobs: int
-) -> tuple[dict[str, list[SeedResult]], dict]:
-    """Run each learner's config over its seeds and write one report for them
-    all: its ``config`` maps each learner to its config, and ``aggregate`` is
-    keyed by learner.  Returns each learner's seed results and the aggregate."""
+def run_learners(configs: list[ExperimentConfig], out_dir: str, jobs: int) -> None:
+    """Run each learner's config over its seeds, write one report for them
+    all, and print the per-learner table.  The report's ``config`` maps each
+    learner to its config and ``aggregate`` is keyed by learner;
+    ``cv_table.csv`` holds one row per learner, seed and CV candidate."""
     start = time.perf_counter()
     results = {c.learner: run_config_seeds(c, jobs=jobs) for c in configs}
     wall = time.perf_counter() - start
     reports = [r.report for rs in results.values() for r in rs]
     aggregate = {name: aggregate_reports([r.report for r in rs]) for name, rs in results.items()}
-    config_map = {c.learner: config_to_dict(c) for c in configs}
-    emit_report(reports, aggregate, config_map, out_dir, wall)
-    return results, aggregate
+    emit_report(reports, aggregate, {c.learner: config_to_dict(c) for c in configs}, out_dir, wall)
+    with open(os.path.join(out_dir, "cv_table.csv"), "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["learner", "seed", *CV_HP_COLUMNS, "cv_accuracy", "selected"])
+        w.writerows(
+            [name, res.report.seed, *astuple(cand.hp),
+             cand.accuracy if cand.accuracy is not None else "failed", int(cand.hp == res.cv.best)]
+            for name, seed_results in results.items()
+            for res in seed_results
+            for cand in res.cv.candidates
+        )
+    print(f"wrote {out_dir}")
+    print(f"{'learner':<14}{'A_T':>10}{'F_T':>10}{'LCA':>10}{'viol':>10}{'s/step':>12}")
+    for name, agg in aggregate.items():
+        cells = [f"{agg[key]['mean']:>10.4f}" if agg.get(key) else f"{'-':>10}"
+                 for key in ("A_T", "F_T", "LCA", "violations", "mean_step_seconds")]
+        print(f"{name:<14}{''.join(cells[:4])}{cells[4]:>12}")
 
 
 def cmd_grid(args) -> int:
-    """The full default sweep (lr, plus lam for EWC) per learner, and its CV table."""
+    """The full default sweep: lr for every learner, times lam for EWC."""
     configs = []
     for config in _learner_configs(args):
         grid = {"lr": DEFAULT_LR_GRID}
         if parse_learner(config.learner)[0] == "ewc":
             grid["lam"] = DEFAULT_REG_GRID
         configs.append(replace(config, grid=grid))
-    results, _ = run_learners(configs, args.out, args.jobs)
-    table = os.path.join(args.out, "cv_table.csv")
-    with open(table, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["learner", "seed", "lr", "lam", "cv_accuracy", "selected"])
-        w.writerows(
-            [name, res.report.seed, cand.hp.lr, cand.hp.lam,
-             cand.accuracy if cand.accuracy is not None else "failed", int(cand.hp == res.cv.best)]
-            for name, seed_results in results.items()
-            for res in seed_results
-            for cand in res.cv.candidates
-        )
-    print(f"wrote {table}")
+    run_learners(configs, args.out, args.jobs)
     return 0
 
 
 def cmd_compare(args) -> int:
-    """Run a learner list on one stream; one flat row per learner per seed."""
-    _, aggregate = run_learners(_learner_configs(args), args.out, args.jobs)
-    print(f"{'learner':<14}{'A_T':>10}{'F_T':>10}{'LCA':>10}{'viol':>10}{'s/step':>12}")
-    for name, agg in aggregate.items():
-        cells = [f"{agg[key]['mean']:>10.4f}" if agg.get(key) else f"{'-':>10}"
-                 for key in ("A_T", "F_T", "LCA", "violations", "mean_step_seconds")]
-        print(f"{name:<14}{''.join(cells[:4])}{cells[4]:>12}")
+    """A learner list on one stream."""
+    run_learners(_learner_configs(args), args.out, args.jobs)
     return 0
 
 

@@ -414,11 +414,11 @@ def make_learner(name: str, model: Model, hp, seed: int) -> Learner:
 def multitask_train(
     model: Model, tasks: list[TaskDataset], hp, seed: int
 ) -> tuple[Model, dict[int, int]]:
-    """Upper-bound baseline: one shuffled single pass over all tasks' data.
+    """Upper-bound baseline: ``hp.epochs`` shuffled passes over all tasks' data.
 
     Each shuffled batch is gathered from its tasks' rows, so the pooled
     inputs are never materialized.  Returns the trained model and the
-    per-example visit counts (each should be exactly 1).
+    per-example visit counts (each should be exactly ``hp.epochs``).
     """
     descriptors = {t.task_id: t.descriptor for t in tasks}
     y = np.concatenate([t.train_y for t in tasks])
@@ -429,17 +429,20 @@ def multitask_train(
     source = np.concatenate([np.full(len(t.train_y), k) for k, t in enumerate(tasks)])
     local = np.concatenate([np.arange(len(t.train_y)) for t in tasks])
     ids = np.concatenate([t.train_ids for t in tasks])
-    order = substream(seed, "shuffle", "multitask").permutation(len(y))
     visits: dict[int, int] = {}
-    for start in range(0, len(order), hp.batch_size):
-        idx = order[start : start + hp.batch_size]
-        x = np.empty((len(idx), tasks[0].train_x.shape[1]))
-        for k in np.unique(source[idx]):
-            sel = source[idx] == k
-            x[sel] = tasks[k].train_x[local[idx[sel]]]
-        mixed = MixedBatch(x, y[idx], task_of[idx])
-        _, grad = mixed_loss_and_grad(model, mixed, descriptors)
-        model = apply_update(model, grad, hp.lr)
-        for i in ids[idx]:
-            visits[int(i)] = visits.get(int(i), 0) + 1
+    for epoch in range(hp.epochs):
+        # epoch 0 keeps the single-pass order
+        names = ("shuffle", "multitask", str(epoch)) if epoch else ("shuffle", "multitask")
+        order = substream(seed, *names).permutation(len(y))
+        for start in range(0, len(order), hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            x = np.empty((len(idx), tasks[0].train_x.shape[1]))
+            for k in np.unique(source[idx]):
+                sel = source[idx] == k
+                x[sel] = tasks[k].train_x[local[idx[sel]]]
+            mixed = MixedBatch(x, y[idx], task_of[idx])
+            _, grad = mixed_loss_and_grad(model, mixed, descriptors)
+            model = apply_update(model, grad, hp.lr)
+            for i in ids[idx]:
+                visits[int(i)] = visits.get(int(i), 0) + 1
     return model, visits

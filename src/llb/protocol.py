@@ -433,7 +433,7 @@ def _multitask_run(
     """Train the multitask baseline from init, audit its single pass, and
     return the per-task test accuracies and the visit counts."""
     model, visits = multitask_train(nn.init_model(arch, seed), tasks, hp, seed)
-    audit_single_pass(visits, tasks, 1)
+    audit_single_pass(visits, tasks, hp.epochs)
     return eval_all(model, tasks), visits
 
 
@@ -546,11 +546,6 @@ class ExperimentConfig:
                 f"unknown learner {self.learner!r}; valid: {', '.join(LEARNER_NAMES)}"
                 " (each optionally with a -je suffix)"
             )
-        if parse_learner(self.learner)[0] == "multitask" and self.study_epochs != 1:
-            raise ConfigurationError(
-                f"config 'study_epochs' must be 1 when 'learner' is {self.learner!r}, "
-                f"got {self.study_epochs!r}"
-            )
         check_stream(self.stream)
         expand_grid(self.base, self.grid)
 
@@ -558,7 +553,7 @@ class ExperimentConfig:
 @dataclass
 class SeedResult:
     report: MetricsReport
-    cv: CvResult | None
+    cv: CvResult
 
 
 def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
@@ -584,7 +579,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
             violations=0, violations_by_task=[],
             mean_step_seconds=0.0, step_seconds_by_task=[],
             param_count=arch.param_count,
-            hyperparams={"lr": hp.lr, "batch_size": hp.batch_size},
+            hyperparams=asdict(hp),
         )
         return SeedResult(report, cv)
 

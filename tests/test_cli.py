@@ -30,7 +30,8 @@ TOY = {
 }
 
 
-TIMING_KEYS = ("mean_step_seconds", "step_seconds_by_task")
+OUTPUT_FILES = ("report.json", "results.csv", "curves.csv", "cv_table.csv")
+TIMING_KEYS = ("mean_step_seconds", "step_seconds_by_task", "wall_seconds")
 
 
 def metric_content(report):
@@ -68,15 +69,14 @@ class TestRunCommand:
     def test_toy_run_exit_zero_and_files(self, toy_config, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["run", "--config", toy_config, "--out", out]) == 0
-        for name in ("report.json", "results.csv", "curves.csv", "manifest.json"):
-            assert os.path.exists(os.path.join(out, name))
         report = json.load(open(os.path.join(out, "report.json")))
         assert report["config_hash"] == config_hash(report["config"])
+        assert list(report["config"]) == ["agem"]
         assert len(report["reports"]) == 1
-        assert report["aggregate"]["A_T"]["n"] == 1
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
-        for path in manifest["outputs"]["per_seed"].values():
-            assert os.path.exists(path)
+        assert report["aggregate"]["agem"]["A_T"]["n"] == 1
+        assert report["wall_seconds"] > 0
+        # the per-learner table, as compare and grid print it
+        assert capsys.readouterr().out.splitlines()[-1].startswith("agem ")
 
     @pytest.mark.parametrize("command", ["run", "compare", "grid"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -306,7 +306,7 @@ class TestEmitReport:
 
     def test_metric_outputs_reproducible(self, tmp_path):
         # byte-for-byte identical metric files under a fixed seed (wall-clock
-        # timing lives in manifest.json and the timing columns only)
+        # timing lives in report.json's timing fields and columns only)
         reports, config = self.make_reports()
         agg = aggregate_reports(reports)
         emit_report(reports, agg, config_to_dict(config), str(tmp_path / "a"), 1.0)
@@ -340,13 +340,10 @@ class TestCompareAndGrid:
         assert main([command, "--config", two_task_toy(tmp_path), "--learners", "vanilla,ewc",
                      "--out", out]) == 0
         report = json.load(open(os.path.join(out, "report.json")))
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
-        for written in (report, manifest):
-            assert sorted(written["config"]) == ["ewc", "vanilla"]
-            assert written["config_hash"] == config_hash(written["config"])
-            for name, config in written["config"].items():
-                assert config["learner"] == name
-        assert report["config"] == manifest["config"]
+        assert sorted(report["config"]) == ["ewc", "vanilla"]
+        assert report["config_hash"] == config_hash(report["config"])
+        for name, config in report["config"].items():
+            assert config["learner"] == name
         assert sorted(report["aggregate"]) == ["ewc", "vanilla"]
         assert {r["learner"] for r in report["reports"]} == {"ewc", "vanilla"}
         # grid sweeps the default grid, and lam for EWC only
@@ -363,7 +360,7 @@ class TestCompareAndGrid:
             out = str(tmp_path / learners)
             assert main(["compare", "--config", toy_config, "--learners", learners,
                          "--out", out]) == 0
-            hashes.add(json.load(open(os.path.join(out, "manifest.json")))["config_hash"])
+            hashes.add(json.load(open(os.path.join(out, "report.json")))["config_hash"])
         assert len(hashes) == 2
 
     def test_compare_parallel_jobs(self, toy_config, tmp_path, capsys):
@@ -411,15 +408,39 @@ class TestCompareAndGrid:
         assert code == 2 and ran == []
         assert "--learners names a learner twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare", "grid"])
+    def test_one_layout(self, command, tmp_path, capsys):
+        out = str(tmp_path / command)
+        assert main([command, "--config", two_task_toy(tmp_path), "--out", out]) == 0
+        assert sorted(os.listdir(out)) == sorted(OUTPUT_FILES)
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert sorted(report) == ["aggregate", "config", "config_hash", "reports", "wall_seconds"]
+        assert sorted(report["aggregate"]) == sorted(report["config"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-len(report["config"]) - 1].split() == ["learner", "A_T", "F_T", "LCA",
+                                                            "viol", "s/step"]
+
+    def test_cv_table_tells_apart_every_hyper_parameter(self, tmp_path, capsys):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps({**TOY, "grid": {"ref_batch_size": [4, 8]}}))
+        out = str(tmp_path / "ref")
+        assert main(["run", "--config", str(path), "--out", out]) == 0
+        with open(os.path.join(out, "cv_table.csv")) as f:
+            rows = list(csv.DictReader(f))
+        assert [r["ref_batch_size"] for r in rows] == ["4", "8"]
+        assert [r["lr"] for r in rows] == ["0.05", "0.05"]
+
     def test_grid_emits_cv_table(self, tmp_path):
         out = str(tmp_path / "grid")
         assert main(["grid", "--config", two_task_toy(tmp_path), "--learners", "vanilla",
                      "--out", out]) == 0
         with open(os.path.join(out, "cv_table.csv")) as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["learner", "seed", "lr", "lam", "cv_accuracy", "selected"]
+        assert rows[0] == ["learner", "seed", "lr", "lam", "memory_per_task", "ref_batch_size",
+                           "batch_size", "epochs", "beta", "fisher_samples", "cv_accuracy",
+                           "selected"]
         assert len(rows) == 1 + 8  # the eight-point default learning-rate grid
-        assert sum(int(r[5]) for r in rows[1:]) == 1
+        assert sum(int(r[-1]) for r in rows[1:]) == 1
         # one layout: no per-learner directory
         assert not os.path.exists(os.path.join(out, "vanilla"))
 

@@ -4,7 +4,7 @@ import os
 import re
 from dataclasses import fields
 
-from llb.cli import build_parser
+from llb.cli import build_parser, main
 from llb.protocol import STREAM_DEFAULTS, ExperimentConfig, HyperParams
 from llb.selftest import SUITES
 
@@ -51,3 +51,17 @@ def test_install_section_names_every_selftest_suite():
     section = " ".join(readme_section("## Install and test").split())    # unwrapped
     for name, *_ in SUITES:
         assert name in section, name
+
+
+def test_outputs_paragraph_names_exactly_the_files_run_writes(tmp_path, capsys):
+    paragraph = readme_section("Outputs per `--out` directory").split("All metric content")[0]
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({
+        "stream": {"kind": "permuted-mnist", "tasks": 2, "cv_split": 1, "train_per_task": 20,
+                   "test_per_task": 10, "base_train": 60, "base_test": 20},
+        "hidden": [5], "base": {"memory_per_task": 5, "ref_batch_size": 4},
+        "grid": {"lr": [0.05]}, "seeds": [0],
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert set(re.findall(r"`(\w+\.(?:json|csv))`", paragraph)) == set(os.listdir(out))

@@ -421,6 +421,41 @@ class TestGemStep:
         assert np.array_equal(state.model.theta, theta)
 
 
+class TestTrunkRowsPerStep:
+    """Rows through the trunk in one step, counted at ``nn.trunk_forward``:
+    a deterministic companion to acceptance test 07's wall-clock ratio."""
+
+    B, M, REF = 10, 12, 30
+
+    def rows_per_step(self, monkeypatch, step):
+        stream = small_stream(T=5, n=40)
+        rows, forward = [], nn.trunk_forward
+        monkeypatch.setattr(nn, "trunk_forward",
+                            lambda model, inputs: rows.append(len(inputs)) or forward(model, inputs))
+        counts = []
+        for t in range(1, 5):
+            mem = EpisodicMemory(self.M)
+            for task in stream.tasks[:t]:
+                update_eps_mem(mem, task, task.task_id, seed=0)
+            state = fresh_state(stream, memory=mem)
+            rows.clear()
+            step(state, first_batch(stream.tasks[t], B=self.B))
+            counts.append(sum(rows))
+        return counts
+
+    def test_gem_grows_with_stored_tasks(self, monkeypatch):
+        counts = self.rows_per_step(monkeypatch, lambda state, batch: gem_step(state, batch, 0.05))
+        assert counts == [self.B + t * self.M for t in range(1, 5)]
+
+    def test_agem_flat_once_memory_exceeds_reference(self, monkeypatch):
+        counts = self.rows_per_step(
+            monkeypatch,
+            lambda state, batch: agem_step(state, batch, 0.05, self.REF, substream(0, "ref-batch")),
+        )
+        assert counts == [self.B + min(self.REF, t * self.M) for t in range(1, 5)]
+        assert counts[2] == counts[3]     # t * m >= ref from t = 3 on
+
+
 class TestGroupedMemoryRows:
     """The grouped pass against one batch_loss_and_grad call per stored task."""
 
@@ -731,6 +766,15 @@ class TestMultitask:
         expected = {int(i) for t in stream.tasks for i in t.train_ids}
         assert set(visits) == expected
         assert set(visits.values()) == {1}
+
+    def test_each_example_visited_once_per_epoch(self):
+        stream = small_stream(T=3, n=30)
+        hp = HyperParams(lr=0.05, batch_size=7, epochs=3)
+        heads = tuple((t.task_id, t.num_classes) for t in stream.tasks)
+        arch = nn.Architecture(8, (10, 9), heads)
+        _, visits = multitask_train(nn.init_model(arch, 0), stream.tasks, hp, seed=1)
+        assert set(visits) == {int(i) for t in stream.tasks for i in t.train_ids}
+        assert set(visits.values()) == {3}
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_per_batch_gather_equals_pooled_copy(self, seed):

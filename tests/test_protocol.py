@@ -3,7 +3,7 @@ import json
 import os
 import re
 import struct
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -489,8 +489,6 @@ class TestConfigValues:
         ({"seeds": ()}, "need at least one seed"),
         ({"seeds": (0, -1)}, "config 'seeds' must be a list of integers >= 0"),
         ({"study_epochs": 0}, "config 'study_epochs' must be an integer >= 1"),
-        ({"learner": "multitask", "study_epochs": 3},
-         "config 'study_epochs' must be 1 when 'learner' is 'multitask', got 3"),
     ])
     def test_experiment_config_checked_when_built_and_replaced(self, change, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -551,6 +549,17 @@ class TestRunSeed:
         r = run_seed(self.config(learner="multitask"), 0).report
         assert 0 <= r.avg_accuracy <= 1
         assert r.forgetting is None
+
+    def test_multitask_study_epochs_pass_audit(self, monkeypatch):
+        # the EV run makes study_epochs passes and its audit expects that many
+        audited, audit = [], protocol.audit_single_pass
+        monkeypatch.setattr(protocol, "audit_single_pass",
+                            lambda visits, tasks, epochs=1: audited.append(epochs)
+                            or audit(visits, tasks, epochs))
+        config = replace(self.config(learner="multitask"), study_epochs=2)
+        r = run_seed(config, 0).report
+        assert audited == [1, 2]    # the CV candidate, then the EV run
+        assert r.hyperparams == asdict(replace(config.base, epochs=2))
 
     def test_je_learner_on_attribute_stream(self):
         config = ExperimentConfig(
