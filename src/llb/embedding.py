@@ -22,11 +22,14 @@ def _table_only(model: Model) -> None:
 
 
 def je_loss_and_grad(
-    model: Model, batch: Batch, descriptor: np.ndarray
+    model: Model, batch: Batch, descriptor: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean CE and exact gradient w.r.t. trunk and attribute table jointly."""
+    """Mean CE and exact gradient w.r.t. trunk and attribute table jointly,
+    written into ``out`` when given (see ``head_loss_and_grad``)."""
     _table_only(model)
-    return head_loss_and_grad(model, batch.inputs, batch.labels, batch.task, {batch.task: descriptor})
+    return head_loss_and_grad(
+        model, batch.inputs, batch.labels, batch.task, {batch.task: descriptor}, out
+    )
 
 
 def je_predict(model: Model, inputs: np.ndarray, descriptor: np.ndarray) -> np.ndarray:

@@ -60,23 +60,34 @@ class LearnerState:
     step_seconds: float = 0.0
     step_count: int = 0
     descriptors: dict = field(default_factory=dict)
+    # gradient workspaces, made once and rewritten by every step: the step's
+    # gradient g, and A-GEM's reference gradient or S-GEM's sampled-task one
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    g_ref: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.g, self.g_ref = np.empty((2, len(self.model.theta)))
 
 
-def batch_loss_and_grad(model: Model, batch: Batch, descriptors: dict):
-    """Loss/grad with head routing: per-task heads or the shared attribute table."""
+def batch_loss_and_grad(model: Model, batch: Batch, descriptors: dict, out=None):
+    """Loss/grad with head routing: per-task heads or the shared attribute table.
+
+    The gradient goes into ``out`` when given (see ``nn.head_loss_and_grad``).
+    """
     if model.arch.head_mode == nn.PER_TASK:
-        return loss_and_grad(model, batch)
-    return je_loss_and_grad(model, batch, descriptors[batch.task])
+        return loss_and_grad(model, batch, out)
+    return je_loss_and_grad(model, batch, descriptors[batch.task], out)
 
 
-def mixed_loss_and_grad(model: Model, mixed: MixedBatch, descriptors: dict):
+def mixed_loss_and_grad(model: Model, mixed: MixedBatch, descriptors: dict, out=None):
     """Mean loss/grad over a batch spanning several tasks (per-example mean).
 
     Equal, bit for bit, to a loop over the batch's tasks in ascending id
     that weights each task's mean loss and gradient by its share of the
-    batch (see ``nn.head_loss_and_grad``).
+    batch (see ``nn.head_loss_and_grad``).  The gradient goes into ``out``
+    when given.
     """
-    return nn.head_loss_and_grad(model, mixed.x, mixed.y, mixed.tasks, descriptors)
+    return nn.head_loss_and_grad(model, mixed.x, mixed.y, mixed.tasks, descriptors, out)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +96,8 @@ def mixed_loss_and_grad(model: Model, mixed: MixedBatch, descriptors: dict):
 
 def vanilla_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
     """One unconstrained SGD step."""
-    _, grad = batch_loss_and_grad(state.model, batch, state.descriptors)
-    state.model = apply_update(state.model, grad, lr)
+    _, grad = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
+    apply_update(state.model, grad, lr)
     return state
 
 
@@ -129,16 +140,16 @@ def agem_step(
 
     Empty memory falls back to a plain step.
     """
-    _, g = batch_loss_and_grad(state.model, batch, state.descriptors)
+    _, g = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
     ref = sample_ref_batch(state.memory, ref_size, rng) if state.memory else None
     if ref is None:
-        state.model = apply_update(state.model, g, lr)
+        apply_update(state.model, g, lr)
         return state
-    _, g_ref = mixed_loss_and_grad(state.model, ref, state.descriptors)
+    _, g_ref = mixed_loss_and_grad(state.model, ref, state.descriptors, state.g_ref)
     proj = agem_project(g, g_ref)
     if proj.violated:
         state.violation_count += 1
-    state.model = apply_update(state.model, proj.g_tilde, lr)
+    apply_update(state.model, proj.g_tilde, lr)
     return state
 
 
@@ -189,15 +200,15 @@ def gem_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
     is a plain step.  The dual is solved exactly; a dual that does not
     settle raises NumericError from ``solve_nonneg_qp``.
     """
-    _, g = batch_loss_and_grad(state.model, batch, state.descriptors)
+    _, g = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
     G = _memory_gradient_rows(state) if state.memory else np.zeros((0, len(g)))
     Gg = G @ g
     if np.all(Gg >= 0.0):
-        state.model = apply_update(state.model, g, lr)
+        apply_update(state.model, g, lr)
         return state
     state.violation_count += 1
     sol = solve_nonneg_qp(DualProblem.from_gradients(G, g, linear=Gg))
-    state.model = apply_update(state.model, reconstruct(g, G, sol.v), lr)
+    apply_update(state.model, reconstruct(g, G, sol.v), lr)
     return state
 
 
@@ -208,18 +219,20 @@ def sgem_step(
     rng: np.random.Generator,
 ) -> LearnerState:
     """Gradient step constrained by one uniformly sampled stored task."""
-    _, g = batch_loss_and_grad(state.model, batch, state.descriptors)
+    _, g = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
     stored = sorted(state.memory.per_task) if state.memory else []
     if not stored:
-        state.model = apply_update(state.model, g, lr)
+        apply_update(state.model, g, lr)
         return state
     task = stored[int(rng.integers(0, len(stored)))]
     buf = state.memory.per_task[task]
-    _, g_k = batch_loss_and_grad(state.model, Batch(buf.x, buf.y, task), state.descriptors)
+    _, g_k = batch_loss_and_grad(
+        state.model, Batch(buf.x, buf.y, task), state.descriptors, state.g_ref
+    )
     proj = agem_project(g, g_k)
     if proj.violated:
         state.violation_count += 1
-    state.model = apply_update(state.model, proj.g_tilde, lr)
+    apply_update(state.model, proj.g_tilde, lr)
     return state
 
 
@@ -293,29 +306,41 @@ def ewc_consolidate(
     return state
 
 
-def ewc_penalty_and_grad(state: LearnerState) -> tuple[float, np.ndarray]:
+def ewc_penalty_and_grad(
+    state: LearnerState, add_to: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """sum_k lam_k sum_i F_k,i (theta_i - theta*_k,i)^2 and its gradient.
 
     Read off the merged anchor: fisher (theta - theta_star)^2 + offset,
-    with gradient 2 fisher (theta - theta_star).
+    with gradient 2 fisher (theta - theta_star).  The gradient is added
+    into ``add_to`` when given (and that array returned), else returned as
+    a new vector.  The work runs in blocks of ``nn.BLOCK`` elements, so no
+    P-sized temporary is made; the penalty sums its blocks' dot products.
     """
+    theta = state.model.theta
+    grad = np.zeros_like(theta) if add_to is None else add_to
     if not state.ewc_anchors:
-        return 0.0, np.zeros_like(state.model.theta)
+        return 0.0, grad
     (anchor,) = state.ewc_anchors
-    diff = state.model.theta - anchor.theta_star
-    grad = anchor.fisher * diff
-    penalty = float(grad @ diff) + anchor.offset
-    grad *= 2.0
-    return penalty, grad
+    diff, term = np.empty((2, min(nn.BLOCK, theta.size)))
+    penalty = 0.0
+    for lo in range(0, theta.size, nn.BLOCK):
+        blk = slice(lo, lo + nn.BLOCK)
+        m = min(nn.BLOCK, theta.size - lo)
+        d = np.subtract(theta[blk], anchor.theta_star[blk], out=diff[:m])
+        t = np.multiply(anchor.fisher[blk], d, out=term[:m])
+        penalty += float(t @ d)
+        t *= 2.0
+        grad[blk] += t
+    return penalty + anchor.offset, grad
 
 
 def ewc_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
     """SGD on task loss plus the merged quadratic anchor penalty."""
-    _, grad = batch_loss_and_grad(state.model, batch, state.descriptors)
+    _, grad = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
     if state.ewc_anchors:
-        _, pgrad = ewc_penalty_and_grad(state)
-        grad += pgrad
-    state.model = apply_update(state.model, grad, lr)
+        ewc_penalty_and_grad(state, add_to=grad)
+    apply_update(state.model, grad, lr)
     return state
 
 
@@ -417,9 +442,11 @@ def multitask_train(
     """Upper-bound baseline: ``hp.epochs`` shuffled passes over all tasks' data.
 
     Each shuffled batch is gathered from its tasks' rows, so the pooled
-    inputs are never materialized.  Returns the trained model and the
-    per-example visit counts (each should be exactly ``hp.epochs``).
+    inputs are never materialized.  Trains ``model`` in place and returns
+    it with the per-example visit counts (each should be exactly
+    ``hp.epochs``).
     """
+    grad = np.empty_like(model.theta)     # the gradient workspace of every batch
     descriptors = {t.task_id: t.descriptor for t in tasks}
     y = np.concatenate([t.train_y for t in tasks])
     task_of = np.concatenate(
@@ -441,8 +468,8 @@ def multitask_train(
                 sel = source[idx] == k
                 x[sel] = tasks[k].train_x[local[idx[sel]]]
             mixed = MixedBatch(x, y[idx], task_of[idx])
-            _, grad = mixed_loss_and_grad(model, mixed, descriptors)
-            model = apply_update(model, grad, hp.lr)
+            mixed_loss_and_grad(model, mixed, descriptors, grad)
+            apply_update(model, grad, hp.lr)
             for i in ids[idx]:
                 visits[int(i)] = visits.get(int(i), 0) + 1
     return model, visits

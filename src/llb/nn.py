@@ -327,14 +327,32 @@ def trunk_backward(model: Model, pres, posts, d_hidden: np.ndarray):
 
 
 def _backprop_trunk(model: Model, pres, posts, d_hidden: np.ndarray, grad: np.ndarray) -> None:
-    """Accumulate trunk gradients into ``grad`` given d(loss)/d(trunk output)."""
+    """Write the trunk gradients into ``grad`` given d(loss)/d(trunk output).
+
+    Each layer's slices are written once, straight from the matmul and the
+    row sum, so the trunk region needs no zeroing and no temporary.
+    """
     for w, b, x, d_pre in trunk_backward(model, pres, posts, d_hidden):
-        grad[w] += (x.T @ d_pre).ravel()
-        grad[b] += d_pre.sum(axis=0)
+        np.matmul(x.T, d_pre, out=grad[w].reshape(x.shape[1], d_pre.shape[1]))
+        np.add.reduce(d_pre, axis=0, out=grad[b])
+
+
+def _gradient_buffer(model: Model, out: np.ndarray | None) -> np.ndarray:
+    """``out`` with its head region zeroed, or a new zero vector without one.
+
+    The trunk region is left as it is: ``_backprop_trunk`` overwrites all of it.
+    """
+    if out is None:
+        return np.zeros_like(model.theta)
+    if out.shape != model.theta.shape:
+        raise ConfigurationError("gradient buffer length differs from theta")
+    out[layout(model.arch).head_region] = 0.0
+    return out
 
 
 def head_loss_and_grad(
-    model: Model, inputs: np.ndarray, labels: np.ndarray, tasks, descriptors: dict | None = None
+    model: Model, inputs: np.ndarray, labels: np.ndarray, tasks, descriptors: dict | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its exact gradient over all of theta.
 
@@ -344,24 +362,26 @@ def head_loss_and_grad(
     a mean over rows, so each task weighs by its share of the batch, and
     heads of tasks absent from the batch receive exactly zero gradient.
     Labels outside a task's classes raise ``ConfigurationError``.
+    The gradient is written into ``out`` (theta-shaped, its old contents
+    ignored) and returned; without ``out`` a new vector is allocated.
     """
     if len(labels) == 0:
         raise ConfigurationError("empty batch")
     descriptors = descriptors or {}
     if np.ndim(tasks) != 0:
-        return _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors)
+        return _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out)
     head = Head(model, tasks, descriptors.get(tasks))
     head.check_labels(labels)
     pres, posts = trunk_forward(model, inputs)
     logits = check_logits(head.logits(posts[-1]), tasks)
     loss, dlogits = softmax_cross_entropy(logits, labels)
-    grad = np.zeros_like(model.theta)
+    grad = _gradient_buffer(model, out)
     head.add_grad(posts[-1], dlogits, grad)
     _backprop_trunk(model, pres, posts, head.input_grad(dlogits), grad)
     return float(loss), grad
 
 
-def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors):
+def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out):
     """``head_loss_and_grad`` over a batch spanning several tasks.
 
     Equal, bit for bit, to a loop over the batch's tasks in ascending id
@@ -417,7 +437,7 @@ def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors):
         dl *= n_t / n
         for k, a, b, l in zip(ks, starts, stops, local):
             parts[k] = (slice(a, b), logp[l], dl[l])
-    grad = np.zeros_like(model.theta)
+    grad = _gradient_buffer(model, out)
     total = 0.0
     for head, count, (rows, logp, dl) in zip(heads, counts, parts):
         # ndarray.mean's own operations, so each task's loss keeps its bits
@@ -439,23 +459,42 @@ def predict(model: Model, inputs: np.ndarray, task: int) -> np.ndarray:
     return head.logits(posts[-1]).argmax(axis=1)
 
 
-def loss_and_grad(model: Model, batch: Batch) -> tuple[float, np.ndarray]:
+def loss_and_grad(
+    model: Model, batch: Batch, out: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its exact gradient over all of theta.
 
     Heads of tasks other than ``batch.task`` receive exactly zero gradient.
+    The gradient goes into ``out`` when given (see ``head_loss_and_grad``).
     """
-    return head_loss_and_grad(model, batch.inputs, batch.labels, batch.task)
+    return head_loss_and_grad(model, batch.inputs, batch.labels, batch.task, out=out)
 
 
-def apply_update(model: Model, grad: np.ndarray, lr: float) -> Model:
-    """theta' = theta - lr * grad (returns a new Model)."""
+BLOCK = 16384   # elements per block of the in-place vector updates (128 kB of scratch)
+
+
+def apply_update(model: Model, grad: np.ndarray, lr: float) -> None:
+    """theta <- theta - lr * grad, in place: a caller that needs the old theta
+    copies the model first.
+
+    Every check runs before anything is written, so a rejected update
+    leaves theta as it was.  Each element is rounded twice, as in the
+    expression: lr * grad, then the subtraction (a fused multiply-add
+    would change the bits).  The scaled step is formed block by block in a
+    small scratch, so no P-sized temporary is made.
+    """
     if grad.shape != model.theta.shape:
         raise ConfigurationError("gradient length differs from theta")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite (NaN or inf) value in gradient")
-    if lr <= 0:
-        raise ConfigurationError("learning rate must be positive")
-    return Model(model.arch, model.theta - lr * grad)
+    if not 0.0 < lr < np.inf:      # also rejects a NaN
+        raise ConfigurationError("learning rate must be positive and finite")
+    theta = model.theta
+    scratch = np.empty(min(BLOCK, theta.size))
+    for lo in range(0, theta.size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        step = np.multiply(grad[blk], lr, out=scratch[: min(BLOCK, theta.size - lo)])
+        np.subtract(theta[blk], step, out=theta[blk])
 
 
 def mlp(input_dim: int, hidden, class_counts, task_ids=None) -> Architecture:

@@ -181,7 +181,8 @@ class TestSharedTableCoupling:
         _, grad = je_loss_and_grad(model, batch_j, desc_j)
         grad_table_only = np.zeros_like(grad)
         grad_table_only[lay.table] = grad[lay.table]
-        moved = nn.apply_update(model, grad_table_only, 0.5)
+        moved = model.copy()
+        nn.apply_update(moved, grad_table_only, 0.5)
 
         probe = rng.normal(size=(4, 6))
         before_shared = table_logits(model, probe, desc_shared)

@@ -56,9 +56,10 @@ class TestVanilla:
         state = fresh_state(stream)
         batch = first_batch(stream.tasks[0])
         _, grad = nn.loss_and_grad(state.model, batch)
-        expected = nn.apply_update(state.model, grad, 0.05).theta
+        expected = state.model.copy()
+        nn.apply_update(expected, grad, 0.05)
         vanilla_step(state, batch, 0.05)
-        assert np.array_equal(state.model.theta, expected)
+        assert np.array_equal(state.model.theta, expected.theta)
 
     def test_zero_gradient_batch_no_change(self):
         # a single-class head has identically zero loss and gradient
@@ -754,7 +755,7 @@ class TestMultitask:
         for start in range(0, len(order), 10):
             idx = order[start : start + 10]
             _, g = nn.loss_and_grad(twin, nn.Batch(x[idx], y[idx], 1))
-            twin = nn.apply_update(twin, g, 0.05)
+            nn.apply_update(twin, g, 0.05)
         assert np.allclose(model.theta, twin.theta, atol=1e-12)
 
     def test_each_example_visited_once(self):
@@ -794,7 +795,7 @@ class TestMultitask:
         for start in range(0, len(order), 6):
             idx = order[start : start + 6]
             _, g = mixed_loss_and_grad(twin, MixedBatch(x[idx], y[idx], task_of[idx]), descriptors)
-            twin = nn.apply_update(twin, g, 0.05)
+            nn.apply_update(twin, g, 0.05)
         assert np.array_equal(model.theta, twin.theta)
 
 
@@ -858,3 +859,112 @@ class TestLearnerObjects:
             learner.step(batch)
             after = objective(learner.state)
             assert after <= before + 1e-12, name
+
+
+def unbuffered_step(learner, batch):
+    """One step of ``learner`` through the same kernels as ``Learner.step``,
+    each called without a buffer, so every gradient is a fresh vector."""
+    from llb.learners import _memory_gradient_rows
+    from llb.qp import reconstruct, solve_nonneg_qp
+
+    state, hp, name = learner.state, learner.hp, learner.name
+    _, g = batch_loss_and_grad(state.model, batch, state.descriptors)
+    if name == "ewc" and state.ewc_anchors:
+        g = g + ewc_penalty_and_grad(state)[1]
+    elif name == "agem" and state.memory:
+        ref = sample_ref_batch(state.memory, hp.ref_batch_size, learner._ref_rng)
+        _, g_ref = mixed_loss_and_grad(state.model, ref, state.descriptors)
+        g = agem_project(g, g_ref).g_tilde
+    elif name == "sgem" and state.memory:
+        stored = sorted(state.memory.per_task)
+        task = stored[int(learner._constraint_rng.integers(0, len(stored)))]
+        buf = state.memory.per_task[task]
+        _, g_k = batch_loss_and_grad(state.model, nn.Batch(buf.x, buf.y, task), state.descriptors)
+        g = agem_project(g, g_k).g_tilde
+    elif name == "gem" and state.memory:
+        G = _memory_gradient_rows(state)
+        if not np.all(G @ g >= 0.0):
+            g = reconstruct(g, G, solve_nonneg_qp(DualProblem.from_gradients(G, g)).v)
+    nn.apply_update(state.model, g, hp.lr)
+
+
+def workspace_setup(je: bool):
+    """A three-task stream and an architecture for it: per-task heads or the attribute table."""
+    if not je:
+        stream = small_stream(T=3, n=50)
+        heads = tuple((t.task_id, t.num_classes) for t in stream.tasks)
+        return stream, nn.Architecture(8, (10, 9), heads)
+    from llb.streams import make_synthetic_split_stream
+
+    stream = make_synthetic_split_stream(
+        20, 5, 3, A=16, seed=0, cv_split=1, input_dim=12, train_per_class=10, test_per_class=2
+    )
+    return stream, nn.Architecture(12, (10, 9), head_mode=nn.JOINT_EMBEDDING, attr_count=16)
+
+
+class TestWorkspaces:
+    """Each learner writes its gradients into two vectors made once."""
+
+    @pytest.mark.parametrize("name", ["vanilla", "ewc", "agem", "sgem", "gem", "agem-je"])
+    def test_dirty_workspaces_match_fresh_gradients(self, name):
+        # NaN-filled workspaces, then 30 steps over three tasks: a head slice
+        # or table block that a step does not rewrite leaves NaN or an older
+        # step's values behind, and theta then departs from the twin's
+        base, je = name.split("-")[0], name.endswith("-je")
+        stream, arch = workspace_setup(je)
+        hp = HyperParams(lr=0.05, memory_per_task=15, ref_batch_size=12, fisher_samples=20)
+        learner = make_learner(base, nn.init_model(arch, 5), hp, 5)
+        twin = make_learner(base, nn.init_model(arch, 5), hp, 5)
+        learner.state.g[:] = np.nan
+        learner.state.g_ref[:] = np.nan
+        steps = 0
+        for task in stream.tasks:
+            for one in (learner, twin):
+                one.register_task(task)
+            for batch in minibatches(task, 5, 0)[:10]:
+                learner.step(batch)
+                unbuffered_step(twin, batch)
+                steps += 1
+                assert np.array_equal(learner.model.theta, twin.model.theta), steps
+            for one in (learner, twin):
+                one.end_task(task)
+        assert steps == 30
+        # the constrained path ran too, not only plain steps
+        assert (learner.state.violation_count > 0) == (base not in ("vanilla", "ewc"))
+
+    @pytest.mark.parametrize("name,bound", [
+        ("vanilla", 1), ("ewc", 1), ("agem", 3), ("sgem", 3), ("gem", 2 + 2),
+    ])
+    def test_step_allocates_under_a_few_parameter_vectors(self, name, bound):
+        # permuted MNIST, 784-64-64, five heads: P = 57,650; memory 50 per
+        # task, reference batch 32, B = 10; traced after 3 warm-up steps
+        # with 2 stored tasks.  GEM's bound is t + 2 vectors: its constraint
+        # rows G (t of them) are made anew at every step.
+        import tracemalloc
+
+        base = synthetic_mnist_base(300, 20, seed=0, dim=784)
+        stream = make_permuted_stream(base, T=5, seed=0, cv_split=1,
+                                      train_per_task=60, test_per_task=10)
+        heads = tuple((t.task_id, t.num_classes) for t in stream.tasks)
+        arch = nn.Architecture(784, (64, 64), heads)
+        P = arch.param_count
+        assert P == 57_650
+        hp = HyperParams(lr=0.03, memory_per_task=50, ref_batch_size=32, batch_size=10,
+                         fisher_samples=50)
+        learner = make_learner(name, nn.init_model(arch, 0), hp, 0)
+        for task in stream.tasks[:2]:
+            learner.register_task(task)
+            learner.end_task(task)
+        task = stream.tasks[2]
+        learner.register_task(task)
+        batches = minibatches(task, 10, 0)
+        for batch in batches[:3]:
+            learner.step(batch)
+        batch = batches[3]
+        tracemalloc.start()
+        try:
+            learner.step(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * P * 8, peak / (P * 8)

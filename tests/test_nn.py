@@ -192,34 +192,87 @@ class TestLossAndGrad:
 class TestApplyUpdate:
     def test_zero_grad_no_change(self):
         model = nn.init_model(small_arch(), 1)
-        updated = nn.apply_update(model, np.zeros_like(model.theta), 0.5)
-        assert np.array_equal(updated.theta, model.theta)
+        before = model.theta.copy()
+        nn.apply_update(model, np.zeros_like(model.theta), 0.5)
+        assert np.array_equal(model.theta, before)
 
     def test_lr_one_grad_theta_zeroes(self):
         model = nn.init_model(small_arch(), 1)
-        updated = nn.apply_update(model, model.theta.copy(), 1.0)
-        assert np.all(updated.theta == 0.0)
+        nn.apply_update(model, model.theta.copy(), 1.0)
+        assert np.all(model.theta == 0.0)
 
     def test_two_steps_equal_summed_grad(self):
         rng = np.random.default_rng(0)
         model = nn.init_model(small_arch(), 1)
         g1 = rng.normal(size=model.theta.shape)
         g2 = rng.normal(size=model.theta.shape)
-        stepped = nn.apply_update(nn.apply_update(model, g1, 0.1), g2, 0.1)
-        combined = nn.apply_update(model, g1 + g2, 0.1)
+        stepped, combined = model.copy(), model.copy()
+        nn.apply_update(stepped, g1, 0.1)
+        nn.apply_update(stepped, g2, 0.1)
+        nn.apply_update(combined, g1 + g2, 0.1)
         assert np.allclose(stepped.theta, combined.theta, atol=1e-15)
 
     def test_nan_grad_raises(self):
         model = nn.init_model(small_arch(), 1)
+        before = model.theta.copy()
         bad = np.zeros_like(model.theta)
         bad[3] = np.nan
         with pytest.raises(NumericError):
             nn.apply_update(model, bad, 0.1)
+        assert np.array_equal(model.theta, before)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_inf_grad_raises(self, value):
         model = nn.init_model(small_arch(), 1)
+        before = model.theta.copy()
         bad = np.zeros_like(model.theta)
         bad[3] = value
         with pytest.raises(NumericError):
             nn.apply_update(model, bad, 0.1)
+        assert np.array_equal(model.theta, before)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_a_late_block_leaves_theta(self, value):
+        # the bad value sits in the last block: nothing of the earlier
+        # blocks may have been written when the update is refused
+        model = nn.init_model(nn.mlp(400, (100,), [7]), 1)
+        assert model.theta.size > 2 * nn.BLOCK
+        before = model.theta.copy()
+        bad = np.ones_like(model.theta)
+        bad[-2] = value
+        with pytest.raises(NumericError):
+            nn.apply_update(model, bad, 0.1)
+        assert np.array_equal(model.theta, before)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_lr_raises_and_leaves_theta(self, lr):
+        model = nn.init_model(small_arch(), 1)
+        before = model.theta.copy()
+        with pytest.raises(ConfigurationError, match="learning rate"):
+            nn.apply_update(model, np.ones_like(model.theta), lr)
+        assert np.array_equal(model.theta, before)
+
+    def test_wrong_length_raises_and_leaves_theta(self):
+        model = nn.init_model(small_arch(), 1)
+        before = model.theta.copy()
+        with pytest.raises(ConfigurationError, match="gradient length"):
+            nn.apply_update(model, np.ones(model.theta.size + 1), 0.1)
+        assert np.array_equal(model.theta, before)
+
+    @pytest.mark.parametrize("hidden", [(4,), (100,)])
+    def test_in_place_and_bitwise_the_two_rounding_expression(self, hidden):
+        # one block and three (the last one partial)
+        rng = np.random.default_rng(2)
+        model = nn.init_model(nn.mlp(400, hidden, [7]), 3)
+        grad = rng.normal(size=model.theta.shape) * 10.0 ** rng.integers(-8, 8, model.theta.size)
+        theta = model.theta
+        expected = theta - 0.037 * grad
+        nn.apply_update(model, grad, 0.037)
+        assert model.theta is theta
+        assert np.array_equal(theta, expected)
+
+    def test_gradient_may_be_theta_itself(self):
+        model = nn.init_model(nn.mlp(400, (100,), [7]), 4)
+        expected = model.theta - 0.25 * model.theta
+        nn.apply_update(model, model.theta, 0.25)
+        assert np.array_equal(model.theta, expected)
