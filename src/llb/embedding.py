@@ -22,13 +22,15 @@ def _table_only(model: Model) -> None:
 
 
 def je_loss_and_grad(
-    model: Model, batch: Batch, descriptor: np.ndarray, out: np.ndarray | None = None
+    model: Model, batch: Batch, descriptor: np.ndarray, out: np.ndarray | None = None,
+    factors: list | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean CE and exact gradient w.r.t. trunk and attribute table jointly,
-    written into ``out`` when given (see ``head_loss_and_grad``)."""
+    written into ``out`` when given; a ``factors`` list defers the trunk
+    weight blocks (see ``head_loss_and_grad``)."""
     _table_only(model)
     return head_loss_and_grad(
-        model, batch.inputs, batch.labels, batch.task, {batch.task: descriptor}, out
+        model, batch.inputs, batch.labels, batch.task, {batch.task: descriptor}, out, factors
     )
 
 

@@ -10,6 +10,7 @@ the update rules can be tested in isolation.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,9 @@ from .streams import TaskDataset
 log = logging.getLogger(__name__)
 
 DEGENERATE_REF_EPS = 1e-12
+CERTIFY_MARGIN = 4.0    # four times the round-off bound of ``certified_positive``
+FACTOR_PAYS = 8         # how much larger a skipped weight block must be than its check
+NORM_RANGE = (2.0**-250, 2.0**250)
 
 
 @dataclass
@@ -69,25 +73,27 @@ class LearnerState:
         self.g, self.g_ref = np.empty((2, len(self.model.theta)))
 
 
-def batch_loss_and_grad(model: Model, batch: Batch, descriptors: dict, out=None):
+def batch_loss_and_grad(model: Model, batch: Batch, descriptors: dict, out=None, factors=None):
     """Loss/grad with head routing: per-task heads or the shared attribute table.
 
-    The gradient goes into ``out`` when given (see ``nn.head_loss_and_grad``).
+    The gradient goes into ``out`` when given, and a ``factors`` list defers
+    its trunk weight blocks (see ``nn.head_loss_and_grad``).
     """
     if model.arch.head_mode == nn.PER_TASK:
-        return loss_and_grad(model, batch, out)
-    return je_loss_and_grad(model, batch, descriptors[batch.task], out)
+        return loss_and_grad(model, batch, out, factors)
+    return je_loss_and_grad(model, batch, descriptors[batch.task], out, factors)
 
 
-def mixed_loss_and_grad(model: Model, mixed: MixedBatch, descriptors: dict, out=None):
+def mixed_loss_and_grad(model: Model, mixed: MixedBatch, descriptors: dict, out=None,
+                        factors=None):
     """Mean loss/grad over a batch spanning several tasks (per-example mean).
 
     Equal, bit for bit, to a loop over the batch's tasks in ascending id
     that weights each task's mean loss and gradient by its share of the
     batch (see ``nn.head_loss_and_grad``).  The gradient goes into ``out``
-    when given.
+    when given, and a ``factors`` list defers its trunk weight blocks.
     """
-    return nn.head_loss_and_grad(model, mixed.x, mixed.y, mixed.tasks, descriptors, out)
+    return nn.head_loss_and_grad(model, mixed.x, mixed.y, mixed.tasks, descriptors, out, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +113,18 @@ class Projection(NamedTuple):
     degenerate: bool = False
 
 
-def agem_project(g: np.ndarray, g_ref: np.ndarray) -> Projection:
+def agem_project(g: np.ndarray, g_ref: np.ndarray, out: np.ndarray | None = None) -> Projection:
     """Project g onto the half-space of non-negative inner product with g_ref.
 
     Pass-through when the constraint already holds; otherwise the closest
     vector (in L2) with <g~, g_ref> = 0, i.e.
 
-        g~ = g - (g . g_ref / g_ref . g_ref) g_ref.
+        g~ = g - (g . g_ref / g_ref . g_ref) g_ref,
 
-    A reference with squared norm below 1e-12 is flagged degenerate and
-    leaves g unchanged.
+    rounded as written: the scaled reference first, then the difference.
+    g~ is written into ``out`` when given, which may be g_ref itself (not
+    g); without ``out`` it is a new vector.  A reference with squared norm
+    below 1e-12 is flagged degenerate and leaves g unchanged.
     """
     if g.shape != g_ref.shape:
         raise ConfigurationError("gradient and reference length mismatch")
@@ -126,7 +134,92 @@ def agem_project(g: np.ndarray, g_ref: np.ndarray) -> Projection:
     dot = float(g @ g_ref)
     if dot >= 0.0:
         return Projection(g, False)
-    return Projection(g - (dot / ref_sq) * g_ref, True)
+    scaled = np.multiply(dot / ref_sq, g_ref, out=out)
+    return Projection(np.subtract(g, scaled, out=scaled), True)
+
+
+def factors_pay(model: Model, rows: int) -> bool:
+    """Whether ``certified_positive`` costs less than forming the reference
+    gradient's trunk weight blocks, for a batch of ``rows`` rows.
+
+    Per trunk layer, the check does about rows (fan_in + fan_out) work per
+    reference row and skips fan_in fan_out; it pays when every layer's
+    skipped block is at least ``FACTOR_PAYS`` times its check.
+    """
+    return all(
+        fan_in * fan_out >= FACTOR_PAYS * rows * (fan_in + fan_out)
+        for _, _, fan_in, fan_out in nn.layout(model.arch).trunk
+    )
+
+
+def certified_positive(
+    model: Model, g: np.ndarray, g_ref: np.ndarray, batch_factors, ref_factors
+) -> bool:
+    """True only if ``float(g @ g_ref)``, as ``agem_project`` computes it from
+    the fully formed vectors, is certainly > 0.
+
+    ``g`` is whole; ``g_ref`` need not hold its trunk weight blocks, which
+    are read only through the factors ``nn.head_loss_and_grad`` handed back:
+    each layer's block is H.T D, so its part of g . g_ref is the sum of
+    (H_b H_r.T) * (D_b D_r.T), one rows x reference-rows product per layer.
+    The biases and heads (or the attribute table), a and r, are dotted
+    directly.  With the Frobenius norms of the factors, the terms of a
+    layer's part sum in absolute value to at most |H_b| |D_b| |H_r| |D_r|,
+    those of the rest to at most |a| |r|; call the sum of these bounds M.
+    The round-off in this estimate, and in forming the blocks and dotting
+    them as ``agem_project`` does, are each at most about n u M, with u
+    the unit round-off (half the float64 epsilon eps) and
+    n = P + sum over layers of (fan_in + fan_out + rows * reference rows).
+    Together they stay under n eps M, so an estimate above
+    ``CERTIFY_MARGIN`` n eps M certifies the dot's sign, with room for the
+    rounding of M itself.  Every norm must also lie in ``NORM_RANGE``:
+    finite, and far enough from underflow and overflow that the relative
+    error bounds hold.  False means "not certified", not "violated".
+    """
+    lay = nn.layout(model.arch)
+    rest = [b for _, b, _, _ in lay.trunk] + [lay.head_region]
+    estimate = sum(float(g[s] @ g_ref[s]) for s in rest)
+    norms = [np.sqrt(sum(float(v[s] @ v[s]) for s in rest)) for v in (g, g_ref)]
+    bound = norms[0] * norms[1]
+    n = g.size
+    for (_, h_b, d_b), (_, h_r, d_r) in zip(batch_factors, ref_factors):
+        estimate += float(np.vdot(h_b @ h_r.T, d_b @ d_r.T))
+        layer = [np.linalg.norm(m) for m in (h_b, d_b, h_r, d_r)]
+        norms += layer
+        bound += layer[0] * layer[1] * layer[2] * layer[3]
+        n += h_b.shape[1] + d_b.shape[1] + len(h_b) * len(h_r)
+    low, high = NORM_RANGE
+    return all(low <= v <= high for v in norms) and (
+        estimate > CERTIFY_MARGIN * n * np.finfo(np.float64).eps * bound
+    )
+
+
+def _reference_step(state: LearnerState, batch: Batch, lr: float, reference_grad) -> LearnerState:
+    """Apply the batch gradient g, projected when g . g_ref < 0 (``agem_project``).
+
+    ``reference_grad(out, factors)`` writes g_ref into ``out`` and returns
+    (loss, g_ref), as the loss/grad wrappers do.  Where ``factors_pay``,
+    g_ref's trunk weight blocks are deferred, and a step whose constraint
+    ``certified_positive`` proves to hold applies g without them; every
+    other step forms them and runs ``agem_project`` as before.
+    """
+    model = state.model
+    deferred = factors_pay(model, len(batch))
+    batch_factors = [] if deferred else None
+    ref_factors = [] if deferred else None
+    _, g = batch_loss_and_grad(model, batch, state.descriptors, state.g, batch_factors)
+    _, g_ref = reference_grad(state.g_ref, ref_factors)
+    if deferred:
+        nn.finish_trunk_weights(g, batch_factors)
+        if certified_positive(model, g, g_ref, batch_factors, ref_factors):
+            apply_update(model, g, lr)
+            return state
+        nn.finish_trunk_weights(g_ref, ref_factors)
+    proj = agem_project(g, g_ref, out=g_ref)
+    if proj.violated:
+        state.violation_count += 1
+    apply_update(model, proj.g_tilde, lr)
+    return state
 
 
 def agem_step(
@@ -138,19 +231,21 @@ def agem_step(
 ) -> LearnerState:
     """Gradient step constrained by the average memory gradient.
 
-    Empty memory falls back to a plain step.
+    Empty memory falls back to a plain step.  The reference gradient's
+    trunk weight blocks are formed only on steps that need them: where the
+    check pays for the shapes (``factors_pay``), the constraint is first
+    decided from the trunk layers' low-rank factors, and a step that
+    ``certified_positive`` proves satisfied (its estimate of g . g_ref
+    exceeds a round-off bound of ``CERTIFY_MARGIN`` n eps M) applies g as
+    ``agem_project`` would have.  Violated, degenerate, ambiguous and
+    non-finite cases form the blocks and project as before, so results
+    are the same bit for bit.
     """
-    _, g = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
     ref = sample_ref_batch(state.memory, ref_size, rng) if state.memory else None
     if ref is None:
-        apply_update(state.model, g, lr)
-        return state
-    _, g_ref = mixed_loss_and_grad(state.model, ref, state.descriptors, state.g_ref)
-    proj = agem_project(g, g_ref)
-    if proj.violated:
-        state.violation_count += 1
-    apply_update(state.model, proj.g_tilde, lr)
-    return state
+        return vanilla_step(state, batch, lr)
+    reference = functools.partial(mixed_loss_and_grad, state.model, ref, state.descriptors)
+    return _reference_step(state, batch, lr, reference)
 
 
 def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
@@ -218,22 +313,17 @@ def sgem_step(
     lr: float,
     rng: np.random.Generator,
 ) -> LearnerState:
-    """Gradient step constrained by one uniformly sampled stored task."""
-    _, g = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
+    """Gradient step constrained by one uniformly sampled stored task, with
+    A-GEM's check of the constraint from low-rank factors (``agem_step``)."""
     stored = sorted(state.memory.per_task) if state.memory else []
     if not stored:
-        apply_update(state.model, g, lr)
-        return state
+        return vanilla_step(state, batch, lr)
     task = stored[int(rng.integers(0, len(stored)))]
     buf = state.memory.per_task[task]
-    _, g_k = batch_loss_and_grad(
-        state.model, Batch(buf.x, buf.y, task), state.descriptors, state.g_ref
+    reference = functools.partial(
+        batch_loss_and_grad, state.model, Batch(buf.x, buf.y, task), state.descriptors
     )
-    proj = agem_project(g, g_k)
-    if proj.violated:
-        state.violation_count += 1
-    apply_update(state.model, proj.g_tilde, lr)
-    return state
+    return _reference_step(state, batch, lr, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,8 @@ def trunk_forward(model: Model, inputs: np.ndarray):
     pres, posts = [], [x]
     for idx, (w, b, fan_in, fan_out) in enumerate(lay.trunk):
         W = model.theta[w].reshape(fan_in, fan_out)
-        pre = posts[-1] @ W + model.theta[b]
+        pre = posts[-1] @ W
+        pre += model.theta[b]
         if not np.all(np.isfinite(pre)):
             raise NumericError(f"non-finite activation in trunk layer {idx}")
         pres.append(pre)
@@ -326,15 +327,30 @@ def trunk_backward(model: Model, pres, posts, d_hidden: np.ndarray):
             d = d_pre @ model.theta[w].reshape(fan_in, fan_out).T
 
 
-def _backprop_trunk(model: Model, pres, posts, d_hidden: np.ndarray, grad: np.ndarray) -> None:
+def _backprop_trunk(
+    model: Model, pres, posts, d_hidden: np.ndarray, grad: np.ndarray, factors: list | None = None
+) -> None:
     """Write the trunk gradients into ``grad`` given d(loss)/d(trunk output).
 
     Each layer's slices are written once, straight from the matmul and the
-    row sum, so the trunk region needs no zeroing and no temporary.
+    row sum, so the trunk region needs no zeroing and no temporary.  With
+    a ``factors`` list, the weight slices are left unwritten and each
+    layer's (W slice, input, delta) is appended to it instead, for
+    ``finish_trunk_weights``.
     """
+    layers = [] if factors is None else factors
     for w, b, x, d_pre in trunk_backward(model, pres, posts, d_hidden):
-        np.matmul(x.T, d_pre, out=grad[w].reshape(x.shape[1], d_pre.shape[1]))
         np.add.reduce(d_pre, axis=0, out=grad[b])
+        layers.append((w, x, d_pre))
+    if factors is None:
+        finish_trunk_weights(grad, layers)
+
+
+def finish_trunk_weights(grad: np.ndarray, factors) -> None:
+    """Write each trunk layer's weight gradient, input.T @ delta, into ``grad``
+    from the (W slice, input, delta) factors ``head_loss_and_grad`` handed back."""
+    for w, x, d_pre in factors:
+        np.matmul(x.T, d_pre, out=grad[w].reshape(x.shape[1], d_pre.shape[1]))
 
 
 def _gradient_buffer(model: Model, out: np.ndarray | None) -> np.ndarray:
@@ -352,7 +368,7 @@ def _gradient_buffer(model: Model, out: np.ndarray | None) -> np.ndarray:
 
 def head_loss_and_grad(
     model: Model, inputs: np.ndarray, labels: np.ndarray, tasks, descriptors: dict | None = None,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, factors: list | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its exact gradient over all of theta.
 
@@ -364,12 +380,18 @@ def head_loss_and_grad(
     Labels outside a task's classes raise ``ConfigurationError``.
     The gradient is written into ``out`` (theta-shaped, its old contents
     ignored) and returned; without ``out`` a new vector is allocated.
+
+    Given a ``factors`` list, the trunk weight blocks of the gradient are
+    left unwritten: each trunk layer's (W slice, input, delta) is appended
+    to the list, top layer first, and ``finish_trunk_weights(grad,
+    factors)`` writes the blocks later with the very matmul that would
+    have written them here, so their bits are the same.
     """
     if len(labels) == 0:
         raise ConfigurationError("empty batch")
     descriptors = descriptors or {}
     if np.ndim(tasks) != 0:
-        return _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out)
+        return _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out, factors)
     head = Head(model, tasks, descriptors.get(tasks))
     head.check_labels(labels)
     pres, posts = trunk_forward(model, inputs)
@@ -377,11 +399,11 @@ def head_loss_and_grad(
     loss, dlogits = softmax_cross_entropy(logits, labels)
     grad = _gradient_buffer(model, out)
     head.add_grad(posts[-1], dlogits, grad)
-    _backprop_trunk(model, pres, posts, head.input_grad(dlogits), grad)
+    _backprop_trunk(model, pres, posts, head.input_grad(dlogits), grad, factors)
     return float(loss), grad
 
 
-def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out):
+def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out, factors):
     """``head_loss_and_grad`` over a batch spanning several tasks.
 
     Equal, bit for bit, to a loop over the batch's tasks in ascending id
@@ -449,7 +471,7 @@ def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out):
     # backward pass reads the inputs of the trunk layers, never this output
     d_hidden = posts[-1]
     d_hidden[order] = h
-    _backprop_trunk(model, pres, posts, d_hidden, grad)
+    _backprop_trunk(model, pres, posts, d_hidden, grad, factors)
     return total, grad
 
 
@@ -460,14 +482,17 @@ def predict(model: Model, inputs: np.ndarray, task: int) -> np.ndarray:
 
 
 def loss_and_grad(
-    model: Model, batch: Batch, out: np.ndarray | None = None
+    model: Model, batch: Batch, out: np.ndarray | None = None, factors: list | None = None
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its exact gradient over all of theta.
 
     Heads of tasks other than ``batch.task`` receive exactly zero gradient.
-    The gradient goes into ``out`` when given (see ``head_loss_and_grad``).
+    The gradient goes into ``out`` when given, and a ``factors`` list
+    defers its trunk weight blocks (see ``head_loss_and_grad``).
     """
-    return head_loss_and_grad(model, batch.inputs, batch.labels, batch.task, out=out)
+    return head_loss_and_grad(
+        model, batch.inputs, batch.labels, batch.task, out=out, factors=factors
+    )
 
 
 BLOCK = 16384   # elements per block of the in-place vector updates (128 kB of scratch)

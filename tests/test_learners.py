@@ -1,3 +1,4 @@
+import functools
 import inspect
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llb import nn
+from llb import learners, nn
 from llb.learners import (
     LEARNERS,
     EwcAnchor,
@@ -13,9 +14,11 @@ from llb.learners import (
     agem_project,
     agem_step,
     batch_loss_and_grad,
+    certified_positive,
     ewc_consolidate,
     ewc_penalty_and_grad,
     ewc_step,
+    factors_pay,
     gem_step,
     make_learner,
     mixed_loss_and_grad,
@@ -122,6 +125,128 @@ class TestProjection:
         proj = agem_project(g, g_ref)
         z = halfspace_projection_nnls(g, g_ref)
         assert np.linalg.norm(g - proj.g_tilde) <= np.linalg.norm(g - z) + 1e-6
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_projection_into_the_reference_buffer(self, seed):
+        # the same two roundings as the allocating form, bit for bit
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 64))
+        g, g_ref = rng.normal(size=p), rng.normal(size=p)
+        fresh = agem_project(g, g_ref)
+        buffer = g_ref.copy()
+        proj = agem_project(g, buffer, out=buffer)
+        assert proj.violated == fresh.violated
+        assert np.array_equal(proj.g_tilde, fresh.g_tilde)
+        if proj.violated:
+            assert proj.g_tilde is buffer
+        else:
+            assert proj.g_tilde is g and np.array_equal(buffer, g_ref)
+
+
+def factor_case(seed, dims, rows, ref_rows, tilt):
+    """A gradient g and a reference g_ref whose trunk weight blocks are
+    input.T @ delta of random factors, with g . g_ref moved to about
+    ``tilt`` |g| |g_ref| through one head entry of g_ref.
+
+    Returns the model, g, the whole g_ref, the factors, and a copy of g_ref
+    whose trunk weight blocks are NaN, as a deferred gradient leaves them.
+    """
+    rng = np.random.default_rng(seed)
+    arch = nn.Architecture(dims[0], tuple(dims[1:]), ((1, 3), (2, 4)))
+    lay = nn.layout(arch)
+
+    def side(n):
+        factors = [(w, rng.normal(size=(n, fan_in)), rng.normal(size=(n, fan_out)))
+                   for w, _, fan_in, fan_out in lay.trunk]
+        vector = rng.normal(size=lay.size)
+        nn.finish_trunk_weights(vector, factors)
+        return vector, factors
+
+    g, batch_factors = side(rows)
+    g_ref, ref_factors = side(ref_rows)
+    k = lay.head_region.start
+    target = tilt * np.linalg.norm(g) * np.linalg.norm(g_ref)
+    g_ref[k] += (target - float(g @ g_ref)) / g[k]
+    deferred = g_ref.copy()
+    for w, _, _, _ in lay.trunk:
+        deferred[w] = np.nan
+    return nn.init_model(arch, 0), g, g_ref, batch_factors, ref_factors, deferred
+
+
+class TestCertifiedConstraint:
+    """``certified_positive`` may say "satisfied" only when the dot that
+    ``agem_project`` computes from the whole vectors is > 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        dims=st.lists(st.integers(32, 40), min_size=2, max_size=3),
+        rows=st.integers(1, 2),
+        ref_rows=st.integers(1, 12),
+        tilt=st.one_of(
+            st.sampled_from([-0.3, -1e-9, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-11, 1e-9, 0.3]),
+            st.floats(-1e-6, 1e-6),
+        ),
+    )
+    def test_satisfied_only_when_the_exact_dot_is_positive(self, seed, dims, rows, ref_rows, tilt):
+        model, g, g_ref, fb, fr, deferred = factor_case(seed, dims, rows, ref_rows, tilt)
+        assert factors_pay(model, rows)    # 32 * 32 >= 8 * 2 * (32 + 32)
+        certified = certified_positive(model, g, deferred, fb, fr)
+        if certified:
+            assert float(g @ g_ref) > 0.0
+            assert not agem_project(g, g_ref).violated
+        if tilt >= 1e-6:    # far from the round-off bound: the check must see it
+            assert certified
+
+    @pytest.mark.parametrize("tilt", [0.0, -1e-15, 1e-15, -1e-9])
+    def test_near_orthogonal_falls_back(self, tilt):
+        for seed in range(20):
+            model, g, _, fb, fr, deferred = factor_case(seed, (40, 40, 40), 2, 30, tilt)
+            assert not certified_positive(model, g, deferred, fb, fr), seed
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "huge", "zero"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_or_extreme_factors_fall_back(self, bad, side):
+        model, g, _, fb, fr, deferred = factor_case(3, (40, 40, 40), 2, 30, 0.3)
+        assert certified_positive(model, g, deferred, fb, fr)
+        _, h, d = (fb, fr)[side][1]
+        if bad == "nan":
+            h[0, 0] = np.nan
+        elif bad == "inf":
+            d[-1, -1] = np.inf
+        elif bad == "huge":
+            h *= 2.0**260
+        else:
+            d[:] = 0.0
+        assert not certified_positive(model, g, deferred, fb, fr)
+
+    def test_pays_only_for_wide_layers(self):
+        wide = nn.Architecture(784, (256, 256), ((1, 10),))
+        narrow = nn.Architecture(64, (64, 64), head_mode=nn.JOINT_EMBEDDING, attr_count=32)
+        assert factors_pay(nn.Model(wide, np.zeros(wide.param_count)), 10)
+        assert not factors_pay(nn.Model(wide, np.zeros(wide.param_count)), 80)
+        assert not factors_pay(nn.Model(narrow, np.zeros(narrow.param_count)), 10)
+
+    @pytest.mark.parametrize("head_mode", [nn.PER_TASK, nn.JOINT_EMBEDDING])
+    @pytest.mark.parametrize("tasks", [[2, 5, 2, 8, 5, 2], [5, 5, 5]])
+    def test_deferred_blocks_finish_bit_for_bit(self, head_mode, tasks):
+        model, classes_of, descriptors, rng = mixed_setup(head_mode, [3, 4, 3], 2)
+        mixed = mixed_batch(rng, classes_of, tasks)
+        if len(set(tasks)) == 1:    # one task: the ungrouped kernel
+            mixed = nn.Batch(mixed.x, mixed.y, tasks[0])
+            grad = functools.partial(batch_loss_and_grad, model, mixed, descriptors)
+        else:
+            grad = functools.partial(mixed_loss_and_grad, model, mixed, descriptors)
+        _, whole = grad()
+        factors = []
+        out = np.full_like(model.theta, np.nan)
+        grad(out, factors)
+        weights = [w for w, _, _, _ in nn.layout(model.arch).trunk]
+        assert [w for w, _, _ in factors] == weights[::-1]
+        assert all(np.isnan(out[w]).all() for w in weights)
+        nn.finish_trunk_weights(out, factors)
+        assert np.array_equal(out, whole)
 
 
 class TestAGemStep:
@@ -455,6 +580,50 @@ class TestTrunkRowsPerStep:
         )
         assert counts == [self.B + min(self.REF, t * self.M) for t in range(1, 5)]
         assert counts[2] == counts[3]     # t * m >= ref from t = 3 on
+
+
+class TestTrunkWeightGemmsPerStep:
+    """Trunk weight-gradient GEMMs in one A-GEM step, counted at
+    ``nn.finish_trunk_weights``: the batch gradient's blocks are formed on
+    every step, the reference gradient's only on steps that project."""
+
+    def gemms_per_step(self, monkeypatch, B):
+        stream = small_stream(T=3, n=60, dim=96)
+        heads = tuple((t.task_id, t.num_classes) for t in stream.tasks)
+        arch = nn.Architecture(96, (96, 96), heads)
+        hp = HyperParams(lr=0.05, memory_per_task=30, ref_batch_size=40)
+        learner = make_learner("agem", nn.init_model(arch, 1), hp, 1)
+        for task in stream.tasks[:2]:
+            learner.register_task(task)
+            learner.end_task(task)
+        learner.register_task(stream.tasks[2])
+        state = learner.state
+        gemms, projected = {"g": 0, "g_ref": 0}, [0]
+        finish, project = nn.finish_trunk_weights, learners.agem_project
+
+        def counted_finish(grad, factors):
+            gemms["g" if grad is state.g else "g_ref"] += len(factors)
+            return finish(grad, factors)
+
+        monkeypatch.setattr(nn, "finish_trunk_weights", counted_finish)
+        monkeypatch.setattr(learners, "agem_project",
+                            lambda *a, **k: projected.__setitem__(0, 1) or project(*a, **k))
+        counts = []
+        for batch in minibatches(stream.tasks[2], B, 0)[:12]:
+            gemms.update(g=0, g_ref=0)
+            projected[0] = 0
+            learner.step(batch)
+            counts.append((gemms["g"], gemms["g_ref"], projected[0]))
+        return counts
+
+    def test_reference_blocks_only_on_projecting_steps(self, monkeypatch):
+        counts = self.gemms_per_step(monkeypatch, B=5)    # 96 * 96 >= 8 * 5 * 192
+        assert all(g == 2 and g_ref == 2 * projected for g, g_ref, projected in counts)
+        assert sum(projected for *_, projected in counts) < len(counts)    # some skipped
+
+    def test_every_step_forms_both_where_the_check_does_not_pay(self, monkeypatch):
+        counts = self.gemms_per_step(monkeypatch, B=10)   # 96 * 96 < 8 * 10 * 192
+        assert counts == [(2, 2, 1)] * len(counts)
 
 
 class TestGroupedMemoryRows:
@@ -888,12 +1057,15 @@ def unbuffered_step(learner, batch):
     nn.apply_update(state.model, g, hp.lr)
 
 
-def workspace_setup(je: bool):
-    """A three-task stream and an architecture for it: per-task heads or the attribute table."""
+def workspace_setup(je: bool, wide: bool = False):
+    """A three-task stream and an architecture for it: per-task heads or the
+    attribute table.  ``wide`` layers (96-96-96) are wide enough for batches
+    of 5 that A-GEM and S-GEM check their constraint from factors."""
     if not je:
-        stream = small_stream(T=3, n=50)
+        dim, hidden = (96, (96, 96)) if wide else (8, (10, 9))
+        stream = small_stream(T=3, n=50, dim=dim)
         heads = tuple((t.task_id, t.num_classes) for t in stream.tasks)
-        return stream, nn.Architecture(8, (10, 9), heads)
+        return stream, nn.Architecture(dim, hidden, heads)
     from llb.streams import make_synthetic_split_stream
 
     stream = make_synthetic_split_stream(
@@ -905,18 +1077,25 @@ def workspace_setup(je: bool):
 class TestWorkspaces:
     """Each learner writes its gradients into two vectors made once."""
 
-    @pytest.mark.parametrize("name", ["vanilla", "ewc", "agem", "sgem", "gem", "agem-je"])
-    def test_dirty_workspaces_match_fresh_gradients(self, name):
+    @pytest.mark.parametrize("name", [
+        "vanilla", "ewc", "agem", "sgem", "gem", "agem-je", "agem-wide", "sgem-wide",
+    ])
+    def test_dirty_workspaces_match_fresh_gradients(self, name, monkeypatch):
         # NaN-filled workspaces, then 30 steps over three tasks: a head slice
         # or table block that a step does not rewrite leaves NaN or an older
-        # step's values behind, and theta then departs from the twin's
-        base, je = name.split("-")[0], name.endswith("-je")
-        stream, arch = workspace_setup(je)
+        # step's values behind, and theta then departs from the twin's.  At
+        # the wide shapes, satisfied steps skip g_ref's trunk weight blocks
+        base, je, wide = name.split("-")[0], name.endswith("-je"), name.endswith("-wide")
+        stream, arch = workspace_setup(je, wide)
         hp = HyperParams(lr=0.05, memory_per_task=15, ref_batch_size=12, fisher_samples=20)
         learner = make_learner(base, nn.init_model(arch, 5), hp, 5)
         twin = make_learner(base, nn.init_model(arch, 5), hp, 5)
         learner.state.g[:] = np.nan
         learner.state.g_ref[:] = np.nan
+        projections = []     # the learner's calls only: the twin calls its own import
+        project = learners.agem_project
+        monkeypatch.setattr(learners, "agem_project",
+                            lambda *a, **k: projections.append(1) or project(*a, **k))
         steps = 0
         for task in stream.tasks:
             for one in (learner, twin):
@@ -931,15 +1110,20 @@ class TestWorkspaces:
         assert steps == 30
         # the constrained path ran too, not only plain steps
         assert (learner.state.violation_count > 0) == (base not in ("vanilla", "ewc"))
+        if base in ("agem", "sgem"):
+            # 20 steps with stored tasks: at the wide shapes some are certified
+            # without agem_project, elsewhere every one projects
+            assert (len(projections) < 20) if wide else (len(projections) == 20)
 
     @pytest.mark.parametrize("name,bound", [
-        ("vanilla", 1), ("ewc", 1), ("agem", 3), ("sgem", 3), ("gem", 2 + 2),
+        ("vanilla", 1), ("ewc", 1), ("agem", 1.5), ("sgem", 1), ("gem", 2 + 2),
     ])
     def test_step_allocates_under_a_few_parameter_vectors(self, name, bound):
         # permuted MNIST, 784-64-64, five heads: P = 57,650; memory 50 per
         # task, reference batch 32, B = 10; traced after 3 warm-up steps
         # with 2 stored tasks.  GEM's bound is t + 2 vectors: its constraint
-        # rows G (t of them) are made anew at every step.
+        # rows G (t of them) are made anew at every step.  A-GEM and S-GEM
+        # project into their reference workspace.
         import tracemalloc
 
         base = synthetic_mnist_base(300, 20, seed=0, dim=784)
