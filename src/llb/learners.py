@@ -10,7 +10,6 @@ the update rules can be tested in isolation.
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -194,21 +193,20 @@ def certified_positive(
     )
 
 
-def _reference_step(state: LearnerState, batch: Batch, lr: float, reference_grad) -> LearnerState:
-    """Apply the batch gradient g, projected when g . g_ref < 0 (``agem_project``).
+def _reference_step(state: LearnerState, batch: Batch, lr: float, ref: MixedBatch) -> LearnerState:
+    """Apply the batch gradient g, projected when g . g_ref < 0 (``agem_project``),
+    with g_ref the mean gradient over the memory rows ``ref``.
 
-    ``reference_grad(out, factors)`` writes g_ref into ``out`` and returns
-    (loss, g_ref), as the loss/grad wrappers do.  Where ``factors_pay``,
-    g_ref's trunk weight blocks are deferred, and a step whose constraint
-    ``certified_positive`` proves to hold applies g without them; every
-    other step forms them and runs ``agem_project`` as before.
+    Where ``factors_pay``, g_ref's trunk weight blocks are deferred, and a
+    step whose constraint ``certified_positive`` proves to hold applies g
+    without them; every other step forms them and runs ``agem_project``.
     """
     model = state.model
     deferred = factors_pay(model, len(batch))
     batch_factors = [] if deferred else None
     ref_factors = [] if deferred else None
     _, g = batch_loss_and_grad(model, batch, state.descriptors, state.g, batch_factors)
-    _, g_ref = reference_grad(state.g_ref, ref_factors)
+    _, g_ref = mixed_loss_and_grad(model, ref, state.descriptors, state.g_ref, ref_factors)
     if deferred:
         nn.finish_trunk_weights(g, batch_factors)
         if certified_positive(model, g, g_ref, batch_factors, ref_factors):
@@ -244,8 +242,7 @@ def agem_step(
     ref = sample_ref_batch(state.memory, ref_size, rng) if state.memory else None
     if ref is None:
         return vanilla_step(state, batch, lr)
-    reference = functools.partial(mixed_loss_and_grad, state.model, ref, state.descriptors)
-    return _reference_step(state, batch, lr, reference)
+    return _reference_step(state, batch, lr, ref)
 
 
 def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
@@ -263,8 +260,6 @@ def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
     model = state.model
     mem = state.memory
     buffers = list(mem.per_task.items())
-    if not buffers:
-        return np.zeros((0, len(model.theta)))
     segments = [slice(lo, hi) for lo, hi in zip(mem.bounds[:-1], mem.bounds[1:])]
     pres, posts = nn.trunk_forward(model, mem.x)
     phi = posts[-1]
@@ -280,7 +275,7 @@ def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
     for w, b, x, d_pre in nn.trunk_backward(model, pres, posts, d):
         for k, rows in enumerate(segments):
             # written straight into G: no per-task temporary of the layer's size
-            np.matmul(x[rows].T, d_pre[rows], out=G[k, w].reshape(x.shape[1], d_pre.shape[1]))
+            nn.finish_trunk_weights(G[k], [(w, x[rows], d_pre[rows])])
             G[k, b] = d_pre[rows].sum(axis=0)
     return drop_zero_rows(G)
 
@@ -313,17 +308,16 @@ def sgem_step(
     lr: float,
     rng: np.random.Generator,
 ) -> LearnerState:
-    """Gradient step constrained by one uniformly sampled stored task, with
-    A-GEM's check of the constraint from low-rank factors (``agem_step``)."""
-    stored = sorted(state.memory.per_task) if state.memory else []
-    if not stored:
+    """Gradient step constrained by one uniformly sampled stored task: its
+    memory rows, a view of the store, are the reference batch of A-GEM's
+    ``_reference_step``.  Empty memory falls back to a plain step."""
+    mem = state.memory
+    if not mem:
         return vanilla_step(state, batch, lr)
-    task = stored[int(rng.integers(0, len(stored)))]
-    buf = state.memory.per_task[task]
-    reference = functools.partial(
-        batch_loss_and_grad, state.model, Batch(buf.x, buf.y, task), state.descriptors
-    )
-    return _reference_step(state, batch, lr, reference)
+    k = int(rng.integers(0, len(mem.per_task)))
+    rows = slice(mem.bounds[k], mem.bounds[k + 1])
+    ref = MixedBatch(mem.x[rows], mem.y[rows], mem.tasks[rows])
+    return _reference_step(state, batch, lr, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -412,15 +412,16 @@ def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out, facto
     The trunk forward and backward run once, over the rows in the batch's
     own order: trunk weight gradients are sums over rows, so reordering the
     rows would change their round-off.  For the head, the rows are sorted
-    once (stable) by class count, then task id, so each task owns one
-    contiguous range and all tasks with one class count one block.
+    once (stable) by task id, so each task owns one contiguous range.
     Softmax, cross-entropy and the loop's scaling (divide by n_t, then
-    multiply by n_t / n) run once per block, row by row.  Per task run
-    only the matmuls whose shapes depend on the task (logits, the head
-    gradient, d(loss)/d(trunk output)) and the task's mean loss (numpy's
-    pairwise sum; the exact batched form, a zero-seeded ``np.add.reduceat``,
-    measured slower).  Losses and head gradients are added in ascending
-    task id, as the loop adds them (the attribute table is shared).
+    multiply by n_t / n) are row-wise and run once per run of consecutive
+    tasks that share a class count (one run for any ``build_stream``
+    stream).  Per task run only the matmuls whose shapes depend on the task
+    (logits, the head gradient, d(loss)/d(trunk output)) and the task's
+    mean loss (numpy's pairwise sum; the exact batched form, a zero-seeded
+    ``np.add.reduceat``, measured slower).  Losses and head gradients are
+    added in ascending task id, as the loop adds them (the attribute table
+    is shared).
     """
     n = len(labels)
     pres, posts = trunk_forward(model, inputs)
@@ -428,45 +429,36 @@ def _grouped_loss_and_grad(model, inputs, labels, tasks, descriptors, out, facto
     row_tasks = tasks[order]
     firsts = np.flatnonzero(np.concatenate(([True], row_tasks[1:] != row_tasks[:-1])))
     heads = [Head(model, t, descriptors.get(t)) for t in row_tasks[firsts].tolist()]
-    counts = np.diff(np.append(firsts, n)).tolist()
-    widths = [head.classes for head in heads]
-    groups = sorted(range(len(heads)), key=widths.__getitem__)   # stable: ascending id per width
-    if min(widths) < max(widths):               # else the stable sort below is the identity
-        order = order[np.argsort(np.repeat(widths, counts), kind="stable")]
-    sizes = [counts[k] for k in groups]
-    bounds = [0, *itertools.accumulate(sizes)]
+    bounds = [*firsts.tolist(), n]
+    counts = np.diff(bounds)
     y = labels[order]
-    bad = (y < 0) | (y >= np.repeat([widths[k] for k in groups], sizes))
+    bad = (y < 0) | (y >= np.repeat([head.classes for head in heads], counts))
     if bad.any():
-        raise ConfigurationError(f"labels out of range for task {tasks[order[bad.argmax()]]}")
+        raise ConfigurationError(f"labels out of range for task {row_tasks[bad.argmax()]}")
+    n_t = np.repeat(counts, counts)[:, None]
     h = posts[-1][order]
-    parts = [None] * len(heads)     # per task: (its rows of h, log-probabilities, dlogits)
-    spans = zip(groups, bounds, bounds[1:])
-    for C, block in itertools.groupby(spans, key=lambda span: widths[span[0]]):
-        ks, starts, stops = zip(*block)
-        lo, hi = starts[0], stops[-1]
-        local = [slice(a - lo, b - lo) for a, b in zip(starts, stops)]
-        logits = np.empty((hi - lo, C))
-        for k, a, b, l in zip(ks, starts, stops, local):
-            heads[k].logits(h[a:b], out=logits[l])
-        finite = np.isfinite(logits).all(axis=1)
-        if not finite.all():
-            raise NumericError(f"non-finite logits for task {tasks[order[lo + finite.argmin()]]}")
-        logp, dl = _softmax_rows(logits, y[lo:hi])
-        block_sizes = np.subtract(stops, starts)
-        n_t = np.repeat(block_sizes, block_sizes)[:, None]
-        dl /= n_t
-        dl *= n_t / n
-        for k, a, b, l in zip(ks, starts, stops, local):
-            parts[k] = (slice(a, b), logp[l], dl[l])
     grad = _gradient_buffer(model, out)
     total = 0.0
-    for head, count, (rows, logp, dl) in zip(heads, counts, parts):
-        # ndarray.mean's own operations, so each task's loss keeps its bits
-        total += (count / n) * -(np.add.reduce(logp) / count)
-        head.add_grad(h[rows], dl, grad)
-        # h[rows] is not read again: it now receives d(loss)/d(h) for these rows
-        head.input_grad(dl, out=h[rows])
+    spans = zip(heads, bounds, bounds[1:])
+    for C, block in itertools.groupby(spans, key=lambda span: span[0].classes):
+        block = list(block)
+        lo, hi = block[0][1], block[-1][2]
+        logits = np.empty((hi - lo, C))
+        for head, a, b in block:
+            head.logits(h[a:b], out=logits[a - lo : b - lo])
+        finite = np.isfinite(logits).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite logits for task {row_tasks[lo + finite.argmin()]}")
+        logp, dl = _softmax_rows(logits, y[lo:hi])
+        dl /= n_t[lo:hi]
+        dl *= n_t[lo:hi] / n
+        for head, a, b in block:
+            rows = slice(a - lo, b - lo)
+            # ndarray.mean's own operations, so each task's loss keeps its bits
+            total += ((b - a) / n) * -(np.add.reduce(logp[rows]) / (b - a))
+            head.add_grad(h[a:b], dl[rows], grad)
+            # h[a:b] is not read again: it now receives d(loss)/d(h) for these rows
+            head.input_grad(dl[rows], out=h[a:b])
     # back to the batch's row order, in the trunk output's own buffer: the
     # backward pass reads the inputs of the trunk layers, never this output
     d_hidden = posts[-1]

@@ -15,6 +15,7 @@ offline.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -81,7 +82,8 @@ class Rows:
 class TaskDataset:
     """One task's data: train/test splits, descriptor, global label set.
 
-    Plain input arrays are wrapped as ``Rows`` over themselves.
+    Plain input arrays are wrapped as ``Rows`` over themselves.  Training
+    row i's sample id defaults to task_id * 2**32 + i, unique across tasks.
     """
 
     task_id: int
@@ -92,7 +94,6 @@ class TaskDataset:
     descriptor: object            # int task id or (C_k x A) attribute matrix
     label_set: tuple[int, ...]    # global class id for each within-task label
     train_ids: np.ndarray = field(default=None)
-    test_ids: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if not isinstance(self.train_x, Rows):
@@ -100,9 +101,7 @@ class TaskDataset:
         if not isinstance(self.test_x, Rows):
             self.test_x = Rows(self.test_x)
         if self.train_ids is None:
-            self.train_ids = np.arange(len(self.train_y), dtype=np.int64)
-        if self.test_ids is None:
-            self.test_ids = -1 - np.arange(len(self.test_y), dtype=np.int64)
+            self.train_ids = self.task_id * 2**32 + np.arange(len(self.train_y), dtype=np.int64)
         for y in (self.train_y, self.test_y):
             if len(y) and (y.min() < 0 or y.max() >= len(self.label_set)):
                 raise ConfigurationError("labels must index into label_set")
@@ -293,7 +292,6 @@ def make_permuted_stream(
                 descriptor=k,
                 label_set=label_set,
                 train_ids=k * 2**32 + tr_idx.astype(np.int64),
-                test_ids=-(k * 2**32 + te_idx.astype(np.int64) + 1),
             )
         )
     return Continuum(tasks, cv_split)
@@ -350,34 +348,25 @@ def make_synthetic_split_stream(
             for i in range(T)
         ]
 
-    occurrences: dict[int, int] = {}
-    for cs in task_classes:
-        for c in cs:
-            occurrences[int(c)] = occurrences.get(int(c), 0) + 1
-
-    # Per-class training pools are generated once so recurring tasks share
-    # (and shard) the same pool.
-    pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    next_shard: dict[int, int] = {}
-    for c in occurrences:
+    # Each class's training pool is drawn once and split into one disjoint
+    # shard per task that uses the class, handed out in task order.
+    uses = Counter(int(c) for cs in task_classes for c in cs)
+    shards = {}
+    for c, m in uses.items():
         crng = substream(seed, "class-pool", str(c))
         x = class_means[c] + noise * crng.normal(size=(train_per_class, input_dim))
         ids = c * 2**20 + np.arange(train_per_class, dtype=np.int64)
-        pools[c] = (x, ids)
-        next_shard[c] = 0
+        shards[c] = zip(np.array_split(x, m), np.array_split(ids, m))
 
     tasks = []
     for k in range(1, T + 1):
         classes = [int(c) for c in task_classes[k - 1]]
         xs, ys, ids = [], [], []
         for local, c in enumerate(classes):
-            pool_x, pool_ids = pools[c]
-            shards = np.array_split(np.arange(train_per_class), occurrences[c])
-            shard = shards[next_shard[c]]
-            next_shard[c] += 1
-            xs.append(pool_x[shard])
-            ys.append(np.full(len(shard), local, dtype=np.int64))
-            ids.append(pool_ids[shard])
+            x, shard_ids = next(shards[c])
+            xs.append(x)
+            ys.append(np.full(len(x), local, dtype=np.int64))
+            ids.append(shard_ids)
         trng = substream(seed, "task-test", str(k))
         test_x = np.concatenate(
             [
@@ -396,7 +385,6 @@ def make_synthetic_split_stream(
                 descriptor=attrs[classes],
                 label_set=tuple(classes),
                 train_ids=np.concatenate(ids),
-                test_ids=-(k * 2**20 + np.arange(len(test_y), dtype=np.int64) + 1),
             )
         )
     return Continuum(

@@ -208,7 +208,7 @@ def test_10_protocol_hygiene(desk_runs):
     ev_ids = {int(i) for t in ev_tasks for i in t.train_ids}
     hygiene &= not (cv_ids & ev_ids)
     try:
-        audit_isolation(cv_tasks, ev_tasks, set(), ev_ids | {next(iter(cv_ids))})
+        audit_isolation(cv_tasks, ev_tasks, ev_ids | {next(iter(cv_ids))})
         hygiene = False
     except ProtocolError:
         pass

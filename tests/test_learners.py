@@ -583,9 +583,10 @@ class TestTrunkRowsPerStep:
 
 
 class TestTrunkWeightGemmsPerStep:
-    """Trunk weight-gradient GEMMs in one A-GEM step, counted at
-    ``nn.finish_trunk_weights``: the batch gradient's blocks are formed on
-    every step, the reference gradient's only on steps that project."""
+    """Trunk weight-gradient GEMMs in one step, counted at
+    ``nn.finish_trunk_weights``.  A-GEM forms the batch gradient's blocks on
+    every step and the reference gradient's only on steps that project;
+    GEM forms the batch's blocks and one set per stored task."""
 
     def gemms_per_step(self, monkeypatch, B):
         stream = small_stream(T=3, n=60, dim=96)
@@ -624,6 +625,26 @@ class TestTrunkWeightGemmsPerStep:
     def test_every_step_forms_both_where_the_check_does_not_pay(self, monkeypatch):
         counts = self.gemms_per_step(monkeypatch, B=10)   # 96 * 96 < 8 * 10 * 192
         assert counts == [(2, 2, 1)] * len(counts)
+
+    def test_gem_forms_two_blocks_per_stored_task(self, monkeypatch):
+        stream = small_stream(T=5, n=40)
+        blocks, finish = [0], nn.finish_trunk_weights
+
+        def counted_finish(grad, factors):
+            blocks[0] += len(factors)
+            return finish(grad, factors)
+
+        monkeypatch.setattr(nn, "finish_trunk_weights", counted_finish)
+        counts = []
+        for t in range(1, 5):
+            mem = EpisodicMemory(12)
+            for task in stream.tasks[:t]:
+                update_eps_mem(mem, task, task.task_id, seed=0)
+            state = fresh_state(stream, memory=mem)     # a two-layer trunk
+            blocks[0] = 0
+            gem_step(state, first_batch(stream.tasks[t]), 0.05)
+            counts.append(blocks[0])
+        assert counts == [2 + 2 * t for t in range(1, 5)]
 
 
 class TestGroupedMemoryRows:

@@ -91,6 +91,27 @@ class TestRunSinglePass:
         assert set(trace.visit_counts) == expected
         assert set(trace.visit_counts.values()) == {1}
 
+    def test_hand_built_tasks_pass_the_single_pass_audit(self):
+        # tasks made without train_ids get distinct default ids, so one
+        # correct pass over two of them visits 20 distinct examples once each
+        from llb.streams import TaskDataset
+
+        rng = np.random.default_rng(0)
+        tasks = [
+            TaskDataset(
+                task_id=t, train_x=rng.normal(size=(10, 5)), train_y=np.zeros(10, dtype=np.int64),
+                test_x=rng.normal(size=(4, 5)), test_y=np.zeros(4, dtype=np.int64),
+                descriptor=t, label_set=(0,),
+            )
+            for t in (1, 2)
+        ]
+        arch = nn.mlp(5, (4,), [1, 1], task_ids=[1, 2])
+        hp = toy_hp(batch_size=3)
+        learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
+        _, trace = run_single_pass(learner, tasks, hp, 0)
+        assert len(trace.visit_counts) == 20
+        assert set(trace.visit_counts.values()) == {1}
+
     def test_multi_epoch_requires_flag(self):
         cont = toy_stream()
         cv, ev = split_cv_ev(cont)
@@ -196,11 +217,9 @@ class TestAudits:
         cv, ev = split_cv_ev(cont)
         cv_ids = {int(i) for t in cv for i in t.train_ids}
         ev_ids = {int(i) for t in ev for i in t.train_ids}
-        audit_isolation(cv, ev, cv_ids, ev_ids)
+        audit_isolation(cv, ev, ev_ids)
         with pytest.raises(ProtocolError, match="EV phase"):
-            audit_isolation(cv, ev, set(), ev_ids | {next(iter(cv_ids))})
-        with pytest.raises(ProtocolError, match="CV phase"):
-            audit_isolation(cv, ev, cv_ids | {next(iter(ev_ids))}, set())
+            audit_isolation(cv, ev, ev_ids | {next(iter(cv_ids))})
 
     def test_reset_audit(self):
         cont = toy_stream()
@@ -387,6 +406,33 @@ class TestDefaults:
                                "train_per_task": 20, "test_per_task": 10}, 0)
         cv, ev = split_cv_ev(stream)
         assert len(cv) == 3 and len(ev) == 5
+
+    def test_stream_defaults_match_the_makers_own(self):
+        from llb.streams import make_synthetic_split_stream as split
+
+        base, permuted = synthetic_mnist_base, make_permuted_stream
+        makers = {     # stream key -> (the function that reads it, its argument)
+            "permuted-mnist": {
+                "cv_split": (permuted, "cv_split"), "base_train": (base, "n_train"),
+                "base_test": (base, "n_test"), "base_seed": (base, "seed"),
+                "base_noise": (base, "noise"), "input_dim": (base, "dim"),
+            },
+            "synthetic-split": {
+                "cv_split": (split, "cv_split"), "attributes": (split, "A"),
+                "with_replacement": (split, "with_replacement"),
+                "input_dim": (split, "input_dim"), "train_per_class": (split, "train_per_class"),
+                "test_per_class": (split, "test_per_class"), "noise": (split, "noise"),
+            },
+        }
+        # keys the makers require, the IDX directory (not a maker argument), and
+        # the per-task subsamples, whose maker default None means all rows
+        unmatched = {"tasks", "num_classes", "classes_per_task", "data_dir",
+                     "train_per_task", "test_per_task"}
+        for kind, defaults in STREAM_DEFAULTS.items():
+            assert set(defaults) - unmatched == set(makers[kind]), kind
+            for key, (maker, arg) in makers[kind].items():
+                default = inspect.signature(maker).parameters[arg].default
+                assert default == defaults[key], (kind, key)
 
 
 class TestStreamKeys:

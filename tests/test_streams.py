@@ -128,7 +128,7 @@ class TestPermutedStream:
         src_train = base.train_x[t2.train_ids[0] - 2 * 2**32]
         perm = np.array([int(np.flatnonzero(src_train == v)[0]) for v in t2.train_x[0]])
         assert sorted(perm.tolist()) == list(range(dim))
-        test_idx = int(-(t2.test_ids[0] + 1) - 2 * 2**32)
+        test_idx = int(t2.test_x.rows[0])
         assert np.array_equal(t2.test_x[0], base.test_x[test_idx][perm])
 
     def test_too_few_tasks_rejected(self):
@@ -280,15 +280,16 @@ class TestMinibatches:
 def eager_inputs(base, task, seed, split="train"):
     """A permuted task's inputs as the eager copy ``base.x[rows][:, perm]``.
 
-    Rows come back from the task's sample ids and the permutation is drawn
-    again from its substream, so nothing is read from the lazy view.
+    Train rows come back from the task's sample ids, test rows from the
+    view's row indices, and the permutation is drawn again from its
+    substream, so no gather of the lazy view is read.
     """
     k = task.task_id
     dim = base.train_x.shape[1]
     perm = np.arange(dim) if k == 1 else substream(seed, "permute", str(k)).permutation(dim)
     if split == "train":
         return base.train_x[task.train_ids - k * 2**32][:, perm]
-    return base.test_x[-task.test_ids - 1 - k * 2**32][:, perm]
+    return base.test_x[task.test_x.rows][:, perm]
 
 
 class TestLazyRows:
@@ -373,12 +374,13 @@ class TestLazyRows:
         assert np.array_equal(task.train_x[[4, 0, 9]], train_x[[4, 0, 9]])
         assert task.train_x[3][2] == train_x[3, 2] and task.train_x.shape == (30, 5)
         assert np.array_equal(np.array(list(task.test_x)), test_x)
-        seen = np.concatenate([b.ids for b in minibatches(task, 7, 0)])
+        # the default sample id of training row i is task_id * 2**32 + i
+        seen = np.concatenate([b.ids for b in minibatches(task, 7, 0)]) - 2**32
         assert sorted(seen.tolist()) == list(range(30))
         for batch in minibatches(task, 7, 0):
-            assert np.array_equal(batch.inputs, train_x[batch.ids])
+            assert np.array_equal(batch.inputs, train_x[batch.ids - 2**32])
         buf = update_eps_mem(EpisodicMemory(10), task, 1, 0).per_task[1]
-        assert np.array_equal(buf.x, train_x[buf.ids])
+        assert np.array_equal(buf.x, train_x[buf.ids - 2**32])
         model = nn.init_model(nn.mlp(5, (4,), [3], task_ids=[1]), 0)
         preds = nn.predict(model, test_x, 1)
         assert eval_accuracy(model, task) == float(np.mean(preds == task.test_y))
