@@ -1,13 +1,15 @@
 """End-to-end training and evaluation protocol.
 
 Hyper-parameters are selected by grid search on a small leading block of
-tasks (the CV stream, where replay is allowed), the learner is reset, and
-the remaining tasks (the EV stream) are learned in a strict single pass
-with accuracy logged at the metric cadence: own-task evaluation before
-the task and after each of its first ``beta`` mini-batches, plus an
-all-task evaluation at every task boundary.  Three audits guard the
-setting: every EV training example is visited exactly once, CV and EV
-never share data, and the post-selection reset is complete.
+tasks (the CV stream, where replay is allowed), each candidate scored by
+its mean final accuracy over the CV tasks, evaluated once after the last
+of them.  The learner is reset, and the remaining tasks (the EV stream)
+are learned in a strict single pass with accuracy logged at the metric
+cadence: own-task evaluation before the task and after each of its first
+``beta`` mini-batches, plus an all-task evaluation at every task
+boundary.  Three audits guard the setting: every EV training example is
+visited exactly once, CV and EV never share data, and the post-selection
+reset is complete.
 """
 
 from __future__ import annotations
@@ -295,12 +297,16 @@ def run_single_pass(
     hp: HyperParams,
     seed: int,
     allow_multi_epoch: bool = False,
+    log_accuracy: bool = True,
 ) -> tuple[LearnerState, RunTrace]:
     """Train over the stream in order, logging at the metric cadence.
 
     Returns the learner's state and the run's record.  Raises
     ProtocolError on numeric failure and on any violation of the
-    single-pass audit.
+    single-pass audit.  A selection run passes ``log_accuracy=False``: it
+    trains and audits exactly as any other but evaluates nothing, so its
+    tensor holds only the batch counts, it has no memory tensor, and the
+    caller evaluates the final model itself.
     """
     if hp.epochs > 1 and not allow_multi_epoch:
         raise ConfigurationError(
@@ -309,15 +315,18 @@ def run_single_pass(
     order = [t.task_id for t in tasks]
     run = RunTrace(
         AccuracyTensor(order=order),
-        AccuracyTensor(order=list(order)) if learner.state.memory is not None else None,
+        AccuracyTensor(order=list(order))
+        if log_accuracy and learner.state.memory is not None else None,
     )
     tensor, visits = run.tensor, run.visit_counts
+    beta = hp.beta if log_accuracy else 0
 
     for task in tasks:
         learner.register_task(task)
-        # gathered once for the 1 + beta own-task evaluations at the cadence
-        test_x = task.test_x[:]
-        record(tensor, task.task_id, 0, task.task_id, eval_accuracy(learner.model, task, test_x))
+        if log_accuracy:
+            # gathered once for the 1 + beta own-task evaluations at the cadence
+            test_x = task.test_x[:]
+            record(tensor, task.task_id, 0, task.task_id, eval_accuracy(learner.model, task, test_x))
         batches = minibatches(task, hp.batch_size, seed, hp.epochs)
         secs0, steps0 = learner.state.step_seconds, learner.state.step_count
         try:
@@ -325,7 +334,7 @@ def run_single_pass(
                 learner.timed_step(batch)
                 for sid in batch.ids:
                     visits[int(sid)] = visits.get(int(sid), 0) + 1
-                if i <= hp.beta:
+                if i <= beta:
                     record(
                         tensor, task.task_id, i, task.task_id,
                         eval_accuracy(learner.model, task, test_x),
@@ -336,9 +345,9 @@ def run_single_pass(
             ) from exc
         tensor.batch_counts[task.task_id] = len(batches)
         learner.end_task(task)
-        accs = eval_all(learner.model, tasks)
-        for other, acc in zip(tasks, accs):
-            record(tensor, task.task_id, len(batches), other.task_id, acc)
+        if log_accuracy:
+            for other, acc in zip(tasks, eval_all(learner.model, tasks)):
+                record(tensor, task.task_id, len(batches), other.task_id, acc)
         if run.memory_tensor is not None:
             run.memory_tensor.batch_counts[task.task_id] = len(batches)
             for stored, buf in learner.state.memory.per_task.items():
@@ -440,11 +449,15 @@ def cross_validate(
     grid: list[HyperParams],
     seed: int,
 ) -> CvResult:
-    """Train each candidate on the CV stream; best final average accuracy wins.
+    """Train each candidate on the CV stream; the best score wins.
 
-    Ties keep the first candidate in grid order.  Selection reads only CV
-    test accuracies.  A candidate whose run fails numerically scores
-    ``None``; a failed audit of a CV run raises its own ``ProtocolError``.
+    A candidate's score, ``cv_table.csv``'s ``cv_accuracy``, is its mean
+    final accuracy over the CV tasks.  A selection run trains and audits
+    as any single pass, but evaluates once: the ``eval_all`` over the CV
+    tasks after the last of them, the only accuracy selection reads.  Ties
+    keep the first candidate in grid order.  A candidate whose training or
+    final evaluation fails numerically scores ``None``; a failed audit of
+    a CV run raises its own ``ProtocolError``.
     """
     if not grid:
         raise ConfigurationError("empty hyper-parameter grid")
@@ -453,12 +466,14 @@ def cross_validate(
     for hp in grid:
         try:
             if base == "multitask":
-                acc = float(np.mean(_multitask_run(arch, cv_tasks, hp, seed)[0]))
+                accs = _multitask_run(arch, cv_tasks, hp, seed)[0]
             else:
                 learner = make_learner(base, nn.init_model(arch, seed), hp, seed)
-                _, run = run_single_pass(learner, cv_tasks, hp, seed, allow_multi_epoch=True)
-                acc = avg_accuracy(run.tensor, cv_tasks[-1].task_id)
-            candidates.append(CvCandidate(hp, acc))
+                run_single_pass(
+                    learner, cv_tasks, hp, seed, allow_multi_epoch=True, log_accuracy=False
+                )
+                accs = eval_all(learner.model, cv_tasks)
+            candidates.append(CvCandidate(hp, float(np.mean(accs))))
         except (NumericError, ProtocolError) as exc:
             if not isinstance(exc, NumericError) and not isinstance(exc.__cause__, NumericError):
                 raise

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from llb import nn, protocol
-from llb.errors import ConfigurationError, ProtocolError
-from llb.learners import LearnerState, make_learner
+from llb.errors import ConfigurationError, NumericError, ProtocolError
+from llb.learners import LearnerState, make_learner, multitask_train
 from llb.metrics import AccuracyTensor, avg_accuracy
 from llb.protocol import (
     DATA_DIR_ENV,
@@ -166,7 +166,7 @@ class TestRunSinglePass:
 
     def test_caller_passes_no_log(self):
         assert list(inspect.signature(run_single_pass).parameters) == [
-            "learner", "tasks", "hp", "seed", "allow_multi_epoch",
+            "learner", "tasks", "hp", "seed", "allow_multi_epoch", "log_accuracy",
         ]
         assert list(inspect.signature(build_report).parameters) == [
             "learner_name", "seed", "state", "run", "hp",
@@ -325,6 +325,86 @@ class TestCrossValidate:
             t.train_x = np.full_like(t.train_x, np.nan)
         with pytest.raises(ProtocolError, match="failed"):
             cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)], seed=0)
+
+    @staticmethod
+    def cv_setup(learner):
+        _, je = parse_learner(learner)
+        if je:
+            stream = {"kind": "synthetic-split", "tasks": 5, "cv_split": 3,
+                      "num_classes": 20, "classes_per_task": 3, "attributes": 8,
+                      "input_dim": 12, "train_per_class": 10, "test_per_class": 10}
+        else:
+            stream = {"kind": "permuted-mnist", "tasks": 5, "cv_split": 3,
+                      "train_per_task": 30, "test_per_task": 20,
+                      "base_train": 200, "base_test": 80, "input_dim": 8}
+        cont = build_stream(stream, 0)
+        cv, _ = split_cv_ev(cont)
+        return cv, arch_for_stream(cont, (6, 5), je)
+
+    @pytest.mark.parametrize("learner", [
+        "vanilla", "ewc", "agem", "gem", "sgem", "agem-je", "multitask",
+    ])
+    def test_scores_equal_a_full_logging_pass(self, learner):
+        cv, arch = self.cv_setup(learner)
+        grid = [toy_hp(lr=0.05, fisher_samples=20), toy_hp(lr=0.01, fisher_samples=20)]
+        result = cross_validate(learner, cv, arch, grid, seed=0)
+        base, _ = parse_learner(learner)
+        for hp, candidate in zip(grid, result.candidates):
+            if base == "multitask":
+                # multitask has no single pass: the reference is its own final evaluation
+                model, _ = multitask_train(nn.init_model(arch, 0), cv, hp, 0)
+                expected = float(np.mean(eval_all(model, cv)))
+            else:
+                single = make_learner(base, nn.init_model(arch, 0), hp, 0)
+                _, run = run_single_pass(single, cv, hp, 0, allow_multi_epoch=True)
+                expected = avg_accuracy(run.tensor, cv[-1].task_id)
+            assert candidate.hp == hp
+            assert candidate.accuracy == expected
+
+    def test_a_candidate_evaluates_only_once_after_the_last_task(self, monkeypatch):
+        cv, arch = self.cv_setup("agem")
+        counts = {"eval_accuracy": 0, "predict_task": 0}
+
+        def counting(name):
+            original = getattr(protocol, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(protocol, name, counting(name))
+        hp = toy_hp(beta=2)
+        cross_validate("agem", cv, arch, [hp], seed=0)
+        # one test-split evaluation per CV task, no memory-buffer prediction
+        assert counts == {"eval_accuracy": len(cv), "predict_task": len(cv)}
+
+        counts.update(eval_accuracy=0, predict_task=0)
+        learner = make_learner("agem", nn.init_model(arch, 0), hp, 0)
+        _, run = run_single_pass(learner, cv, hp, 0)
+        T = len(cv)
+        batches = [run.tensor.batch_counts[t.task_id] for t in cv]
+        evals = sum(1 + min(hp.beta, b) + T for b in batches)
+        # the full pass also predicts on the k buffers stored after task k
+        assert counts == {"eval_accuracy": evals, "predict_task": evals + T * (T + 1) // 2}
+
+    def test_numeric_failure_of_the_final_evaluation_scores_none(self, monkeypatch):
+        cv, arch = self.cv_setup("vanilla")
+        original, calls = protocol.eval_all, []
+
+        def fail_first(model, tasks):
+            calls.append(len(tasks))
+            if len(calls) == 1:
+                raise NumericError("non-finite activation in trunk layer 0")
+            return original(model, tasks)
+
+        monkeypatch.setattr(protocol, "eval_all", fail_first)
+        a, b = toy_hp(lr=0.05), toy_hp(lr=0.01)
+        result = cross_validate("vanilla", cv, arch, [a, b], seed=0)
+        assert calls == [len(cv), len(cv)]
+        assert [c.accuracy is None for c in result.candidates] == [True, False]
+        assert result.best == b
 
 
 def write_mnist_idx(directory, names=IDX_FILES):
