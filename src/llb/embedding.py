@@ -26,11 +26,12 @@ def je_loss_and_grad(
     factors: list | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean CE and exact gradient w.r.t. trunk and attribute table jointly,
-    written into ``out`` when given; a ``factors`` list defers the trunk
-    weight blocks (see ``head_loss_and_grad``)."""
+    over a batch of one task (``batch.tasks`` one id) scored through
+    ``descriptor``; written into ``out`` when given, and a ``factors`` list
+    defers the trunk weight blocks (see ``head_loss_and_grad``)."""
     _table_only(model)
     return head_loss_and_grad(
-        model, batch.inputs, batch.labels, batch.task, {batch.task: descriptor}, out, factors
+        model, batch.x, batch.y, batch.tasks, {batch.tasks: descriptor}, out, factors
     )
 
 

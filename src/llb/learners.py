@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .embedding import je_loss_and_grad
 from .errors import ConfigurationError
-from .memory import EpisodicMemory, MixedBatch, sample_ref_batch, update_eps_mem
+from .memory import EpisodicMemory, sample_ref_batch, update_eps_mem
 from .nn import Batch, Model, apply_update, loss_and_grad
 from .qp import DualProblem, drop_zero_rows, reconstruct, solve_nonneg_qp
 from .rng import spawn_seed, substream
@@ -73,26 +73,29 @@ class LearnerState:
 
 
 def batch_loss_and_grad(model: Model, batch: Batch, descriptors: dict, out=None, factors=None):
-    """Loss/grad with head routing: per-task heads or the shared attribute table.
+    """Loss/grad of a one-task batch, with head routing: per-task heads or
+    the shared attribute table.  Kept apart from ``mixed_loss_and_grad``
+    because the benchmark's tracer (``bench/tracer.py``) times each.
 
     The gradient goes into ``out`` when given, and a ``factors`` list defers
     its trunk weight blocks (see ``nn.head_loss_and_grad``).
     """
     if model.arch.head_mode == nn.PER_TASK:
         return loss_and_grad(model, batch, out, factors)
-    return je_loss_and_grad(model, batch, descriptors[batch.task], out, factors)
+    return je_loss_and_grad(model, batch, descriptors[batch.tasks], out, factors)
 
 
-def mixed_loss_and_grad(model: Model, mixed: MixedBatch, descriptors: dict, out=None,
-                        factors=None):
+def mixed_loss_and_grad(model: Model, batch: Batch, descriptors: dict, out=None, factors=None):
     """Mean loss/grad over a batch spanning several tasks (per-example mean).
+    Kept apart from ``batch_loss_and_grad`` because the benchmark's tracer
+    (``bench/tracer.py``) times each and reads ``batch.tasks``.
 
     Equal, bit for bit, to a loop over the batch's tasks in ascending id
     that weights each task's mean loss and gradient by its share of the
     batch (see ``nn.head_loss_and_grad``).  The gradient goes into ``out``
     when given, and a ``factors`` list defers its trunk weight blocks.
     """
-    return nn.head_loss_and_grad(model, mixed.x, mixed.y, mixed.tasks, descriptors, out, factors)
+    return nn.head_loss_and_grad(model, batch.x, batch.y, batch.tasks, descriptors, out, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ def certified_positive(
     )
 
 
-def _reference_step(state: LearnerState, batch: Batch, lr: float, ref: MixedBatch) -> LearnerState:
+def _reference_step(state: LearnerState, batch: Batch, lr: float, ref: Batch) -> LearnerState:
     """Apply the batch gradient g, projected when g . g_ref < 0 (``agem_project``),
     with g_ref the mean gradient over the memory rows ``ref``.
 
@@ -309,15 +312,13 @@ def sgem_step(
     rng: np.random.Generator,
 ) -> LearnerState:
     """Gradient step constrained by one uniformly sampled stored task: its
-    memory rows, a view of the store, are the reference batch of A-GEM's
-    ``_reference_step``.  Empty memory falls back to a plain step."""
+    ``per_task`` buffer, a view of the store, is the reference batch of
+    A-GEM's ``_reference_step``.  Empty memory falls back to a plain step."""
     mem = state.memory
     if not mem:
         return vanilla_step(state, batch, lr)
     k = int(rng.integers(0, len(mem.per_task)))
-    rows = slice(mem.bounds[k], mem.bounds[k + 1])
-    ref = MixedBatch(mem.x[rows], mem.y[rows], mem.tasks[rows])
-    return _reference_step(state, batch, lr, ref)
+    return _reference_step(state, batch, lr, list(mem.per_task.values())[k])
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +331,10 @@ def per_example_squared_grads(model: Model, batch: Batch, descriptors: dict) -> 
     Uses the factorization (h_i d_j)^2 = h_i^2 d_j^2 for dense layers, so
     no per-example loop is needed; agrees with looping up to round-off.
     """
-    head = nn.Head(model, batch.task, descriptors.get(batch.task))
-    head.check_labels(batch.labels)
-    pres, posts = nn.trunk_forward(model, batch.inputs)
-    _, dlogits = nn.softmax_cross_entropy(head.logits(posts[-1]), batch.labels)
+    head = nn.Head(model, batch.tasks, descriptors.get(batch.tasks))
+    head.check_labels(batch.y)
+    pres, posts = nn.trunk_forward(model, batch.x)
+    _, dlogits = nn.softmax_cross_entropy(head.logits(posts[-1]), batch.y)
     dlogits = dlogits * len(batch)  # per-example gradients, not the batch mean
     out = np.zeros_like(model.theta)
     head.add_squared_grad(posts[-1], dlogits, out)
@@ -458,7 +459,7 @@ class Learner:
 
     def end_task(self, dataset: TaskDataset) -> None:
         if self.state.memory is not None:
-            update_eps_mem(self.state.memory, dataset, dataset.task_id, self.seed)
+            update_eps_mem(self.state.memory, dataset, self.seed)
 
     def timed_step(self, batch: Batch) -> None:
         start = time.perf_counter()
@@ -551,8 +552,7 @@ def multitask_train(
             for k in np.unique(source[idx]):
                 sel = source[idx] == k
                 x[sel] = tasks[k].train_x[local[idx[sel]]]
-            mixed = MixedBatch(x, y[idx], task_of[idx])
-            mixed_loss_and_grad(model, mixed, descriptors, grad)
+            mixed_loss_and_grad(model, Batch(x, y[idx], task_of[idx]), descriptors, grad)
             apply_update(model, grad, hp.lr)
             for i in ids[idx]:
                 visits[int(i)] = visits.get(int(i), 0) + 1

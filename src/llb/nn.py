@@ -140,22 +140,29 @@ class Model:
 
 @dataclass
 class Batch:
-    """A mini-batch of one task: inputs, within-task labels, task id.
+    """Rows with their labels and task ids: the record every module passes.
 
-    ``ids`` optionally carries global sample identities for audits.
+    ``tasks`` is one task id for the whole batch or one id per row, as in
+    ``head_loss_and_grad``.  ``ids`` optionally carries each row's global
+    sample identity, for audits and the episodic memory.
     """
 
-    inputs: np.ndarray
-    labels: np.ndarray
-    task: int
+    x: np.ndarray
+    y: np.ndarray
+    tasks: int | np.ndarray
     ids: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.inputs.ndim != 2 or len(self.inputs) != len(self.labels):
+        if self.x.ndim != 2 or len(self.x) != len(self.y):
             raise ConfigurationError("batch inputs/labels shape mismatch")
+        rows = (len(self.y),)
+        if np.ndim(self.tasks) != 0 and np.shape(self.tasks) != rows:
+            raise ConfigurationError("batch tasks need one id per row, or one for the batch")
+        if self.ids is not None and np.shape(self.ids) != rows:
+            raise ConfigurationError("batch ids need one id per row")
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.y)
 
 
 def init_model(arch: Architecture, seed: int) -> Model:
@@ -478,13 +485,11 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its exact gradient over all of theta.
 
-    Heads of tasks other than ``batch.task`` receive exactly zero gradient.
+    Heads of tasks absent from ``batch.tasks`` receive exactly zero gradient.
     The gradient goes into ``out`` when given, and a ``factors`` list
     defers its trunk weight blocks (see ``head_loss_and_grad``).
     """
-    return head_loss_and_grad(
-        model, batch.inputs, batch.labels, batch.task, out=out, factors=factors
-    )
+    return head_loss_and_grad(model, batch.x, batch.y, batch.tasks, out=out, factors=factors)
 
 
 BLOCK = 16384   # elements per block of the in-place vector updates (128 kB of scratch)

@@ -321,12 +321,14 @@ def run_single_pass(
     tensor, visits = run.tensor, run.visit_counts
     beta = hp.beta if log_accuracy else 0
 
-    for task in tasks:
+    for k, task in enumerate(tasks):
         learner.register_task(task)
         if log_accuracy:
-            # gathered once for the 1 + beta own-task evaluations at the cadence
-            test_x = task.test_x[:]
-            record(tensor, task.task_id, 0, task.task_id, eval_accuracy(learner.model, task, test_x))
+            test_x = task.test_x[:]     # gathered once for the cadence evaluations
+            # ``register_task`` changes no parameter: after the first task, the
+            # last boundary's evaluation of this task is its zero-shot entry
+            zero_shot = accs[k] if k else eval_accuracy(learner.model, task, test_x)
+            record(tensor, task.task_id, 0, task.task_id, zero_shot)
         batches = minibatches(task, hp.batch_size, seed, hp.epochs)
         secs0, steps0 = learner.state.step_seconds, learner.state.step_count
         try:
@@ -346,7 +348,8 @@ def run_single_pass(
         tensor.batch_counts[task.task_id] = len(batches)
         learner.end_task(task)
         if log_accuracy:
-            for other, acc in zip(tasks, eval_all(learner.model, tasks)):
+            accs = eval_all(learner.model, tasks)
+            for other, acc in zip(tasks, accs):
                 record(tensor, task.task_id, len(batches), other.task_id, acc)
         if run.memory_tensor is not None:
             run.memory_tensor.batch_counts[task.task_id] = len(batches)

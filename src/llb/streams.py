@@ -419,7 +419,7 @@ class Minibatches(Sequence):
             return Minibatches(self.dataset, self.batch_rows[i])
         idx = self.batch_rows[i]
         d = self.dataset
-        return Batch(d.train_x[idx], d.train_y[idx], task=d.task_id, ids=d.train_ids[idx])
+        return Batch(d.train_x[idx], d.train_y[idx], d.task_id, d.train_ids[idx])
 
 
 def minibatches(dataset: TaskDataset, B: int, seed: int, epochs: int = 1) -> Minibatches:

@@ -99,7 +99,7 @@ def test_03_single_constraint_equivalence():
     arch = arch_for_stream(stream, (32, 32), False)
     hp = replace(DESK_HP, memory_per_task=128, ref_batch_size=128)
     mem = EpisodicMemory(hp.memory_per_task)
-    update_eps_mem(mem, stream.tasks[0], stream.tasks[0].task_id, seed=0)
+    update_eps_mem(mem, stream.tasks[0], seed=0)
 
     gem = make_learner("gem", nn.init_model(arch, 0), hp, 0)
     agem = make_learner("agem", nn.init_model(arch, 0), hp, 0)

@@ -13,7 +13,7 @@ def je_arch(input_dim=6, hidden=(8, 5), A=4):
 
 
 def random_batch(rng, input_dim=6, classes=3, n=7):
-    return nn.Batch(rng.normal(size=(n, input_dim)), rng.integers(0, classes, size=n), task=1)
+    return nn.Batch(rng.normal(size=(n, input_dim)), rng.integers(0, classes, size=n), tasks=1)
 
 
 def class_embeddings(descriptor, table):
@@ -117,8 +117,8 @@ class TestJeLossAndGrad:
         desc = rng.integers(0, 2, size=(3, 4)).astype(float)
         batch = random_batch(rng)
         doubled = nn.Batch(
-            np.vstack([batch.inputs, batch.inputs]),
-            np.concatenate([batch.labels, batch.labels]),
+            np.vstack([batch.x, batch.x]),
+            np.concatenate([batch.y, batch.y]),
             1,
         )
         l1, g1 = je_loss_and_grad(model, batch, desc)

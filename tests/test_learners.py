@@ -27,7 +27,7 @@ from llb.learners import (
     sgem_step,
     vanilla_step,
 )
-from llb.memory import EpisodicMemory, MixedBatch, sample_ref_batch, update_eps_mem
+from llb.memory import EpisodicMemory, sample_ref_batch, update_eps_mem
 from llb.oracles import finite_diff_grad, halfspace_projection_nnls
 from llb.protocol import HyperParams
 from llb.qp import DualProblem
@@ -263,7 +263,7 @@ class TestAGemStep:
     def test_satisfied_constraint_equals_vanilla(self):
         stream = small_stream()
         mem = EpisodicMemory(30)
-        update_eps_mem(mem, stream.tasks[0], 1, seed=0)
+        update_eps_mem(mem, stream.tasks[0], seed=0)
         state = fresh_state(stream, memory=mem)
         batch = first_batch(stream.tasks[0])  # same task: gradients aligned
         ref = sample_ref_batch(mem, 30, substream(5, "ref-batch"))
@@ -284,8 +284,8 @@ class TestAGemStep:
         # memory loss along the applied update is <= 0 (first order)
         stream = small_stream(T=3, n=80)
         mem = EpisodicMemory(40)
-        update_eps_mem(mem, stream.tasks[0], 1, seed=0)
-        update_eps_mem(mem, stream.tasks[1], 2, seed=0)
+        update_eps_mem(mem, stream.tasks[0], seed=0)
+        update_eps_mem(mem, stream.tasks[1], seed=0)
         state = fresh_state(stream, memory=mem, seed=3)
         found = 0
         for batch in minibatches(stream.tasks[2], 5, 1):
@@ -370,7 +370,7 @@ def mixed_setup(head_mode, class_counts, seed, dim=7, hidden=(11, 10), attrs=13)
 def mixed_batch(rng, classes_of, tasks, dim=7):
     tasks = np.asarray(tasks, dtype=np.int64)
     y = np.array([rng.integers(0, classes_of[int(t)]) for t in tasks], dtype=np.int64)
-    return MixedBatch(rng.normal(size=(len(tasks), dim)), y, tasks)
+    return nn.Batch(rng.normal(size=(len(tasks), dim)), y, tasks)
 
 
 HEAD_MODES = (nn.PER_TASK, nn.JOINT_EMBEDDING)
@@ -469,7 +469,7 @@ class TestGemStep:
                 descriptor=t,
                 label_set=(0,),
             )
-            update_eps_mem(mem, ds, t, seed=t)
+            update_eps_mem(mem, ds, seed=t)
         state = LearnerState(model=nn.init_model(arch, 1), memory=mem)
         twin = LearnerState(model=nn.init_model(arch, 1))
         batch = nn.Batch(rng.normal(size=(6, 4)), rng.integers(0, 3, 6), 3)
@@ -483,7 +483,7 @@ class TestGemStep:
         # make the two updates identical
         stream = small_stream(T=2, n=50)
         mem = EpisodicMemory(50)
-        update_eps_mem(mem, stream.tasks[0], 1, seed=0)
+        update_eps_mem(mem, stream.tasks[0], seed=0)
         sg = fresh_state(stream, memory=mem, seed=2)
         sa = fresh_state(stream, memory=mem.copy(), seed=2)
         for batch in minibatches(stream.tasks[1], 5, 3):
@@ -495,8 +495,8 @@ class TestGemStep:
     def test_projected_update_satisfies_stored_constraints(self):
         stream = small_stream(T=3, n=60)
         mem = EpisodicMemory(30)
-        update_eps_mem(mem, stream.tasks[0], 1, seed=0)
-        update_eps_mem(mem, stream.tasks[1], 2, seed=0)
+        update_eps_mem(mem, stream.tasks[0], seed=0)
+        update_eps_mem(mem, stream.tasks[1], seed=0)
         state = fresh_state(stream, memory=mem, seed=4)
         from llb.learners import _memory_gradient_rows
 
@@ -534,8 +534,8 @@ class TestGemStep:
         monkeypatch.setattr(learners, "DualProblem", NegatedGram)
         stream = small_stream(T=3, n=60)
         mem = EpisodicMemory(30)
-        update_eps_mem(mem, stream.tasks[0], 1, seed=0)
-        update_eps_mem(mem, stream.tasks[1], 2, seed=0)
+        update_eps_mem(mem, stream.tasks[0], seed=0)
+        update_eps_mem(mem, stream.tasks[1], seed=0)
         state = fresh_state(stream, memory=mem, seed=4)
         theta = None
         with pytest.raises(NumericError, match="not settled"):
@@ -562,7 +562,7 @@ class TestTrunkRowsPerStep:
         for t in range(1, 5):
             mem = EpisodicMemory(self.M)
             for task in stream.tasks[:t]:
-                update_eps_mem(mem, task, task.task_id, seed=0)
+                update_eps_mem(mem, task, seed=0)
             state = fresh_state(stream, memory=mem)
             rows.clear()
             step(state, first_batch(stream.tasks[t], B=self.B))
@@ -639,7 +639,7 @@ class TestTrunkWeightGemmsPerStep:
         for t in range(1, 5):
             mem = EpisodicMemory(12)
             for task in stream.tasks[:t]:
-                update_eps_mem(mem, task, task.task_id, seed=0)
+                update_eps_mem(mem, task, seed=0)
             state = fresh_state(stream, memory=mem)     # a two-layer trunk
             blocks[0] = 0
             gem_step(state, first_batch(stream.tasks[t]), 0.05)
@@ -671,7 +671,7 @@ class TestGroupedMemoryRows:
     def memory_state(self, stream, tasks, capacity=25, hidden=(10, 9)):
         mem = EpisodicMemory(capacity)
         for t in tasks:
-            update_eps_mem(mem, t, t.task_id, seed=0)
+            update_eps_mem(mem, t, seed=0)
         return fresh_state(stream, hidden=hidden, seed=3, memory=mem)
 
     def test_per_task_heads(self):
@@ -692,7 +692,7 @@ class TestGroupedMemoryRows:
         )
         mem = EpisodicMemory(12)
         for t in cont.tasks[:4]:
-            update_eps_mem(mem, t, t.task_id, seed=0)
+            update_eps_mem(mem, t, seed=0)
         arch = arch_for_stream(cont, (10, 9), True)
         state = LearnerState(model=nn.init_model(arch, 2), memory=mem)
         for t in cont.tasks:
@@ -700,14 +700,12 @@ class TestGroupedMemoryRows:
         self.assert_rows_match(state)
 
     def test_one_class_memory_task_row_dropped(self):
-        from llb.memory import TaskBuffer
-
         rng = np.random.default_rng(4)
         arch = nn.Architecture(8, (10, 9), ((1, 10), (2, 1), (3, 10)))
         mem = EpisodicMemory(6)
         for task, classes in ((1, 10), (2, 1), (3, 10)):
-            mem.add(task, TaskBuffer(
-                rng.normal(size=(6, 8)), rng.integers(0, classes, 6), np.arange(6) + 10 * task
+            mem.add(nn.Batch(
+                rng.normal(size=(6, 8)), rng.integers(0, classes, 6), task, np.arange(6) + 10 * task
             ))
         state = LearnerState(model=nn.init_model(arch, 0), memory=mem,
                              descriptors={1: 1, 2: 2, 3: 3})
@@ -741,7 +739,7 @@ class TestSGem:
     def test_one_stored_task_matches_gem(self):
         stream = small_stream(T=2, n=40)
         mem = EpisodicMemory(40)
-        update_eps_mem(mem, stream.tasks[0], 1, seed=0)
+        update_eps_mem(mem, stream.tasks[0], seed=0)
         ss = fresh_state(stream, memory=mem, seed=1)
         sg = fresh_state(stream, memory=mem.copy(), seed=1)
         for batch in minibatches(stream.tasks[1], 5, 2):
@@ -754,14 +752,51 @@ class TestSGem:
         thetas = []
         for _ in range(2):
             mem = EpisodicMemory(20)
-            update_eps_mem(mem, stream.tasks[0], 1, seed=0)
-            update_eps_mem(mem, stream.tasks[1], 2, seed=0)
+            update_eps_mem(mem, stream.tasks[0], seed=0)
+            update_eps_mem(mem, stream.tasks[1], seed=0)
             state = fresh_state(stream, memory=mem, seed=5)
             rng = substream(11, "sgem-constraint")
             for batch in minibatches(stream.tasks[2], 5, 1):
                 sgem_step(state, batch, 0.05, rng)
             thetas.append(state.model.theta)
         assert np.array_equal(thetas[0], thetas[1])
+
+
+class TestOneRecord:
+    """Every batch of rows a learner reads is an ``nn.Batch``; S-GEM's
+    reference is the sampled task's ``per_task`` buffer itself."""
+
+    def memory(self, stream, tasks):
+        mem = EpisodicMemory(20)
+        for t in tasks:
+            update_eps_mem(mem, t, seed=0)
+        return mem
+
+    def test_minibatches_and_reference_batches(self):
+        stream = small_stream(T=3, n=40)
+        assert all(isinstance(b, nn.Batch) for b in minibatches(stream.tasks[0], 7, 0))
+        mem = self.memory(stream, stream.tasks[:2])
+        ref = sample_ref_batch(mem, 16, substream(0, "ref-batch"))
+        assert isinstance(ref, nn.Batch)
+        assert len(ref.tasks) == 16
+
+    def test_sgem_reference_is_the_sampled_buffer(self, monkeypatch):
+        stream = small_stream(T=3, n=40)
+        state = fresh_state(stream, memory=self.memory(stream, stream.tasks[:2]))
+        refs = []
+        original = learners._reference_step
+
+        def capture(state, batch, lr, ref):
+            refs.append(ref)
+            return original(state, batch, lr, ref)
+
+        monkeypatch.setattr(learners, "_reference_step", capture)
+        rng = substream(3, "sgem-constraint")
+        for batch in minibatches(stream.tasks[2], 5, 1):
+            sgem_step(state, batch, 0.05, rng)
+        buffers = list(state.memory.per_task.values())
+        assert refs and all(any(ref is buf for buf in buffers) for ref in refs)
+        assert {id(ref) for ref in refs} == {id(buf) for buf in buffers}
 
 
 class TestEwc:
@@ -886,7 +921,7 @@ class TestEwc:
         fast = per_example_squared_grads(state.model, batch, state.descriptors)
         slow = np.zeros_like(fast)
         for i in range(12):
-            single = nn.Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1], batch.task)
+            single = nn.Batch(batch.x[i : i + 1], batch.y[i : i + 1], batch.tasks)
             _, g = nn.loss_and_grad(state.model, single)
             slow += g**2
         assert np.allclose(fast, slow, atol=1e-10)
@@ -984,7 +1019,7 @@ class TestMultitask:
         order = substream(seed, "shuffle", "multitask").permutation(len(y))
         for start in range(0, len(order), 6):
             idx = order[start : start + 6]
-            _, g = mixed_loss_and_grad(twin, MixedBatch(x[idx], y[idx], task_of[idx]), descriptors)
+            _, g = mixed_loss_and_grad(twin, nn.Batch(x[idx], y[idx], task_of[idx]), descriptors)
             nn.apply_update(twin, g, 0.05)
         assert np.array_equal(model.theta, twin.theta)
 
@@ -1001,7 +1036,7 @@ class TestLearnerObjects:
         learner.end_task(task)
         state = learner.state
         if LEARNERS[name].uses_memory:
-            want = update_eps_mem(EpisodicMemory(15), task, task.task_id, seed=4)
+            want = update_eps_mem(EpisodicMemory(15), task, seed=4)
             assert list(state.memory.per_task) == [task.task_id]
             for got, exp in ((state.memory.x, want.x), (state.memory.y, want.y),
                              (state.memory.ids, want.ids)):

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from llb.errors import MemoryStateError
-from llb.memory import (
-    EpisodicMemory,
-    TaskBuffer,
-    sample_ref_batch,
-    update_eps_mem,
-)
+from llb import nn
+from llb.errors import ConfigurationError, MemoryStateError
+from llb.memory import EpisodicMemory, sample_ref_batch, update_eps_mem
 from llb.rng import substream
 from llb.streams import make_permuted_stream, synthetic_mnist_base
 
@@ -22,14 +18,14 @@ class TestUpdate:
     def test_small_task_stored_whole(self):
         mem = EpisodicMemory(250)
         task = make_task(100)
-        update_eps_mem(mem, task, 1, seed=0)
+        update_eps_mem(mem, task, seed=0)
         assert len(mem.per_task[1]) == 100
         assert sorted(mem.per_task[1].ids.tolist()) == sorted(task.train_ids.tolist())
 
     def test_capacity_and_distinct_ids(self):
         mem = EpisodicMemory(50)
         task = make_task(1000)
-        update_eps_mem(mem, task, 1, seed=3)
+        update_eps_mem(mem, task, seed=3)
         buf = mem.per_task[1]
         assert len(buf) == 50
         assert len(set(buf.ids.tolist())) == 50
@@ -37,32 +33,69 @@ class TestUpdate:
 
     def test_reproducible_in_seed(self):
         task = make_task(500)
-        a = update_eps_mem(EpisodicMemory(40), task, 1, seed=9).per_task[1]
-        b = update_eps_mem(EpisodicMemory(40), task, 1, seed=9).per_task[1]
+        a = update_eps_mem(EpisodicMemory(40), task, seed=9).per_task[1]
+        b = update_eps_mem(EpisodicMemory(40), task, seed=9).per_task[1]
         assert np.array_equal(a.ids, b.ids)
 
     def test_duplicate_task_rejected(self):
         mem = EpisodicMemory(10)
         task = make_task(30)
-        update_eps_mem(mem, task, 1, seed=0)
+        update_eps_mem(mem, task, seed=0)
         with pytest.raises(MemoryStateError):
-            update_eps_mem(mem, task, 1, seed=0)
+            update_eps_mem(mem, task, seed=0)
+
+    def test_task_id_comes_from_the_dataset(self):
+        mem = update_eps_mem(EpisodicMemory(10), make_task(30, task_id=3), seed=0)
+        assert list(mem.per_task) == [3]
+        assert np.array_equal(mem.tasks, np.full(10, 3))
 
     def test_stored_examples_match_source_rows(self):
         mem = EpisodicMemory(20)
         task = make_task(100)
-        update_eps_mem(mem, task, 1, seed=1)
+        update_eps_mem(mem, task, seed=1)
         buf = mem.per_task[1]
         lookup = {int(i): row for i, row in zip(task.train_ids, task.train_x)}
         for i, row in zip(buf.ids, buf.x):
             assert np.array_equal(row, lookup[int(i)])
 
 
+class TestAdd:
+    """``add`` takes the task id from the record: one task per buffer, with ids."""
+
+    def rows(self, tasks, ids=np.arange(4)):
+        return nn.Batch(np.ones((4, 3)), np.zeros(4, dtype=np.int64), tasks, ids)
+
+    def test_one_id_or_one_id_on_every_row(self):
+        mem = EpisodicMemory(10)
+        mem.add(self.rows(2))
+        mem.add(self.rows(np.full(4, 5), ids=np.arange(4) + 4))
+        assert list(mem.per_task) == [2, 5]
+        assert np.array_equal(mem.tasks, [2, 2, 2, 2, 5, 5, 5, 5])
+
+    def test_rows_of_several_tasks_rejected(self):
+        mem = EpisodicMemory(10)
+        with pytest.raises(ConfigurationError, match="one task"):
+            mem.add(self.rows(np.array([1, 1, 2, 2])))
+        assert len(mem) == 0
+
+    def test_no_task_rejected(self):
+        empty = nn.Batch(np.ones((0, 3)), np.zeros(0, dtype=np.int64),
+                         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ConfigurationError, match="one task"):
+            EpisodicMemory(10).add(empty)
+
+    def test_rows_without_ids_rejected(self):
+        mem = EpisodicMemory(10)
+        with pytest.raises(ConfigurationError, match="ids"):
+            mem.add(self.rows(1, ids=None))
+        assert len(mem) == 0
+
+
 class TestSampleRefBatch:
     def fill(self, sizes, m=250):
         mem = EpisodicMemory(m)
         for t, n in enumerate(sizes, 1):
-            update_eps_mem(mem, make_task(n, task_id=t), t, seed=t)
+            update_eps_mem(mem, make_task(n, task_id=t), seed=t)
         return mem
 
     def test_empty_memory_signals_none(self):
@@ -121,13 +154,13 @@ class TestPerTaskBatches:
     def test_ascending_task_order(self):
         mem = EpisodicMemory(10)
         for t in (3, 1, 2):
-            update_eps_mem(mem, make_task(20, task_id=t), t, seed=t)
+            update_eps_mem(mem, make_task(20, task_id=t), seed=t)
         assert [t for t, _ in mem.per_task.items()] == [1, 2, 3]
 
     def test_one_entry_per_stored_task(self):
         mem = EpisodicMemory(10)
         for t in range(1, 5):
-            update_eps_mem(mem, make_task(20, task_id=t), t, seed=t)
+            update_eps_mem(mem, make_task(20, task_id=t), seed=t)
         assert len(mem.per_task.items()) == 4
 
 
@@ -157,7 +190,7 @@ class TestStackedStore:
     def fill(self, order=(4, 1, 3, 2), sizes=(30, 12, 25, 7), m=25):
         mem = EpisodicMemory(m)
         for t, n in zip(order, sizes):
-            update_eps_mem(mem, make_task(n, task_id=t), t, seed=t)
+            update_eps_mem(mem, make_task(n, task_id=t), seed=t)
         return mem
 
     def test_rows_in_ascending_task_order(self):
@@ -179,10 +212,13 @@ class TestStackedStore:
 
     def test_per_task_buffers_are_views(self):
         mem = self.fill()
-        for buf in mem.per_task.values():
+        for task, buf in mem.per_task.items():
+            assert isinstance(buf, nn.Batch)
             assert np.shares_memory(buf.x, mem.x)
             assert np.shares_memory(buf.y, mem.y)
             assert np.shares_memory(buf.ids, mem.ids)
+            assert np.shares_memory(buf.tasks, mem.tasks)
+            assert np.array_equal(buf.tasks, np.full(len(buf), task))
         with pytest.raises(TypeError):
             mem.per_task[9] = mem.per_task[1]
 
@@ -207,8 +243,8 @@ class TestStackedStore:
         assert not np.shares_memory(twin.x, mem.x)
         twin.x[:] = 0.0
         twin.y[:] = -1
-        twin.add(7, TaskBuffer(np.ones((2, mem.x.shape[1])), np.zeros(2, dtype=np.int64),
-                               np.arange(2)))
+        twin.add(nn.Batch(np.ones((2, mem.x.shape[1])), np.zeros(2, dtype=np.int64), 7,
+                          np.arange(2)))
         assert 7 not in mem.per_task and len(mem) == 69
         for (x, y, ids), buf in zip(before, mem.per_task.values()):
             assert np.array_equal(buf.x, x)
@@ -217,5 +253,5 @@ class TestStackedStore:
 
     def test_store_does_not_alias_the_task_data(self):
         task = make_task(10)
-        mem = update_eps_mem(EpisodicMemory(20), task, 1, seed=0)
+        mem = update_eps_mem(EpisodicMemory(20), task, seed=0)
         assert not np.shares_memory(mem.x, task.train_x.base)

@@ -73,8 +73,8 @@ class TestInit:
 
 def logits(model, batch):
     """The forward pass: the task's ``Head.logits`` over the trunk output."""
-    head = nn.Head(model, batch.task)
-    _, posts = nn.trunk_forward(model, batch.inputs)
+    head = nn.Head(model, batch.tasks)
+    _, posts = nn.trunk_forward(model, batch.x)
     return head.logits(posts[-1])
 
 
@@ -107,20 +107,20 @@ class TestForward:
         weights.append(model.theta[hw].reshape(arch.trunk_dim, classes))
         biases.append(model.theta[hb])
         # hidden layers ReLU, output linear
-        expected = naive_mlp_forward(weights[:-1], biases[:-1], batch.inputs, relu_last=True)
+        expected = naive_mlp_forward(weights[:-1], biases[:-1], batch.x, relu_last=True)
         expected = expected @ weights[-1] + biases[-1]
         assert np.allclose(logits(model, batch), expected, atol=1e-12)
         assert np.array_equal(
-            nn.predict(model, batch.inputs, 2), logits(model, batch).argmax(axis=1)
+            nn.predict(model, batch.x, 2), logits(model, batch).argmax(axis=1)
         )
 
     def test_unknown_task_raises(self):
         model = nn.init_model(small_arch(), 0)
-        batch = nn.Batch(np.ones((2, 5)), np.zeros(2, dtype=int), task=9)
+        batch = nn.Batch(np.ones((2, 5)), np.zeros(2, dtype=int), tasks=9)
         with pytest.raises(MissingHeadError):
             logits(model, batch)
         with pytest.raises(MissingHeadError):
-            nn.predict(model, batch.inputs, 9)
+            nn.predict(model, batch.x, 9)
 
 
 class TestLossAndGrad:
@@ -137,9 +137,9 @@ class TestLossAndGrad:
         model = nn.init_model(arch, 2)
         batch = random_batch(arch, rng)
         doubled = nn.Batch(
-            np.vstack([batch.inputs, batch.inputs]),
-            np.concatenate([batch.labels, batch.labels]),
-            batch.task,
+            np.vstack([batch.x, batch.x]),
+            np.concatenate([batch.y, batch.y]),
+            batch.tasks,
         )
         l1, g1 = nn.loss_and_grad(model, batch)
         l2, g2 = nn.loss_and_grad(model, doubled)
@@ -187,6 +187,33 @@ class TestLossAndGrad:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="layer 0"):
                 nn.loss_and_grad(model, bad)
+
+
+class TestBatch:
+    """One record for every batch of rows: ``tasks`` is one id or one per row."""
+
+    def test_one_id_or_one_per_row(self):
+        x, y = np.ones((4, 5)), np.zeros(4, dtype=int)
+        assert nn.Batch(x, y, 2).tasks == 2
+        assert len(nn.Batch(x, y, np.array([1, 2, 1, 2]), ids=np.arange(4))) == 4
+
+    @pytest.mark.parametrize("tasks", [np.array([1, 1, 1]), np.ones(5, dtype=int),
+                                       np.ones((4, 1), dtype=int)])
+    def test_tasks_without_one_entry_per_row_rejected(self, tasks):
+        with pytest.raises(ConfigurationError, match="tasks"):
+            nn.Batch(np.ones((4, 5)), np.zeros(4, dtype=int), tasks=tasks)
+
+    @pytest.mark.parametrize("ids", [np.arange(3), np.arange(5), np.int64(3)])
+    def test_ids_without_one_entry_per_row_rejected(self, ids):
+        with pytest.raises(ConfigurationError, match="ids"):
+            nn.Batch(np.ones((4, 5)), np.zeros(4, dtype=int), tasks=1, ids=ids)
+
+    def test_short_tasks_never_reach_the_kernel(self):
+        # the grouped kernel would fail on it with a bare numpy error
+        model = nn.init_model(small_arch(), 0)
+        with pytest.raises(ConfigurationError, match="tasks"):
+            nn.loss_and_grad(model, nn.Batch(np.ones((4, 5)), np.zeros(4, dtype=int),
+                                             tasks=np.array([1, 2, 1])))
 
 
 class TestApplyUpdate:

@@ -310,8 +310,8 @@ class TestLazyRows:
             assert np.array_equal(task.test_x[5:9][:, 2:4], test[5:9, 2:4])
             pos = {int(i): r for r, i in enumerate(task.train_ids)}
             for batch in minibatches(task, 8, seed):
-                assert np.array_equal(batch.inputs, train[[pos[int(i)] for i in batch.ids]])
-            buf = update_eps_mem(EpisodicMemory(25), task, task.task_id, seed).per_task[task.task_id]
+                assert np.array_equal(batch.x, train[[pos[int(i)] for i in batch.ids]])
+            buf = update_eps_mem(EpisodicMemory(25), task, seed).per_task[task.task_id]
             assert np.array_equal(buf.x, train[[pos[int(i)] for i in buf.ids]])
 
     @pytest.mark.parametrize("seed", [0, 5])
@@ -378,8 +378,8 @@ class TestLazyRows:
         seen = np.concatenate([b.ids for b in minibatches(task, 7, 0)]) - 2**32
         assert sorted(seen.tolist()) == list(range(30))
         for batch in minibatches(task, 7, 0):
-            assert np.array_equal(batch.inputs, train_x[batch.ids - 2**32])
-        buf = update_eps_mem(EpisodicMemory(10), task, 1, 0).per_task[1]
+            assert np.array_equal(batch.x, train_x[batch.ids - 2**32])
+        buf = update_eps_mem(EpisodicMemory(10), task, 0).per_task[1]
         assert np.array_equal(buf.x, train_x[buf.ids - 2**32])
         model = nn.init_model(nn.mlp(5, (4,), [3], task_ids=[1]), 0)
         preds = nn.predict(model, test_x, 1)
@@ -407,10 +407,10 @@ class TestLazyMinibatches:
                 eager.append((x[idx], task.train_y[idx], task.train_ids[idx]))
         assert len(lazy) == len(eager) == 10
         for batch, (bx, by, bids) in zip(lazy, eager):
-            assert np.array_equal(batch.inputs, bx)
-            assert np.array_equal(batch.labels, by)
+            assert np.array_equal(batch.x, bx)
+            assert np.array_equal(batch.y, by)
             assert np.array_equal(batch.ids, bids)
-            assert batch.task == task.task_id
+            assert batch.tasks == task.task_id
         assert np.array_equal(lazy[-1].ids, eager[-1][2])
         assert [len(b) for b in lazy[3:6]] == [5, 3, 5]
         assert isinstance(lazy[3:6], Minibatches) and len(lazy[::2]) == 5
