@@ -35,7 +35,7 @@ DEFAULT_LR_GRID = [0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0003, 0.0001]
 DEFAULT_REG_GRID = [1.0, 10.0, 100.0, 1000.0, 10000.0]
 
 FLAT_HEADER = [
-    "learner", "seed", "A_T", "F_T", "LCA_10", "F_wst_test", "F_wst_mem",
+    "learner", "seed", "A_T", "F_T", "LCA", "lca_beta", "F_wst_test", "F_wst_mem",
     "violations", "mean_step_seconds", "params",
 ]
 CURVE_HEADER = ["learner", "seed", "kind", "task", "x", "value"]
@@ -112,8 +112,9 @@ def emit_report(
         w = csv.writer(f)
         w.writerow(FLAT_HEADER)
         w.writerows(
-            [r.learner, r.seed, r.avg_accuracy, r.forgetting, r.lca, r.worst_case_forgetting_test,
-             r.worst_case_forgetting_memory, r.violations, r.mean_step_seconds, r.param_count]
+            [r.learner, r.seed, r.avg_accuracy, r.forgetting, r.lca, r.lca_beta,
+             r.worst_case_forgetting_test, r.worst_case_forgetting_memory, r.violations,
+             r.mean_step_seconds, r.param_count]
             for r in reports
         )
 

@@ -251,35 +251,14 @@ def agem_step(
 def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
     """GEM's constraint matrix: one loss-gradient row per stored task.
 
-    All rows come from one grouped pass over the memory's stacked store,
-    where task k owns a contiguous range of rows (ascending task order); a
-    single trunk forward covers them all, each task's head adds its
-    gradient straight into row k of one zero matrix, and the backward
-    sweep propagates every row's delta with one matmul per layer while
-    each task's weight and bias gradients land in its own row.
-    Row k equals ``batch_loss_and_grad`` over task k's full buffer.
-    All-zero rows are dropped.
+    Row k is ``batch_loss_and_grad`` over the k-th stored task's full
+    ``per_task`` buffer (ascending task id), written straight into G: the
+    kernel writes every entry of its row.  All-zero rows are dropped.
     """
-    model = state.model
-    mem = state.memory
-    buffers = list(mem.per_task.items())
-    segments = [slice(lo, hi) for lo, hi in zip(mem.bounds[:-1], mem.bounds[1:])]
-    pres, posts = nn.trunk_forward(model, mem.x)
-    phi = posts[-1]
-    G = np.zeros((len(buffers), len(model.theta)))
-    d = np.empty_like(phi)
-    for k, ((task, buf), rows) in enumerate(zip(buffers, segments)):
-        head = nn.Head(model, task, state.descriptors.get(task))
-        head.check_labels(buf.y)
-        logits = nn.check_logits(head.logits(phi[rows]), task)
-        _, dlogits = nn.softmax_cross_entropy(logits, buf.y)
-        head.add_grad(phi[rows], dlogits, G[k])
-        head.input_grad(dlogits, out=d[rows])
-    for w, b, x, d_pre in nn.trunk_backward(model, pres, posts, d):
-        for k, rows in enumerate(segments):
-            # written straight into G: no per-task temporary of the layer's size
-            nn.finish_trunk_weights(G[k], [(w, x[rows], d_pre[rows])])
-            G[k, b] = d_pre[rows].sum(axis=0)
+    buffers = state.memory.per_task.values()
+    G = np.empty((len(buffers), len(state.model.theta)))
+    for buf, row in zip(buffers, G):
+        batch_loss_and_grad(state.model, buf, state.descriptors, row)
     return drop_zero_rows(G)
 
 
@@ -287,11 +266,11 @@ def gem_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
     """Gradient step constrained per stored task, via the dual QP.
 
     The constraint matrix G is recomputed from the full buffers at every
-    step, in one grouped pass (``_memory_gradient_rows``).  G g is formed
-    once: it decides whether any constraint is violated and is the dual's
-    linear term.  With no stored tasks (or all-zero memory gradients) this
-    is a plain step.  The dual is solved exactly; a dual that does not
-    settle raises NumericError from ``solve_nonneg_qp``.
+    step, one kernel call per stored task (``_memory_gradient_rows``).
+    G g is formed once: it decides whether any constraint is violated and
+    is the dual's linear term.  With no stored tasks (or all-zero memory
+    gradients) this is a plain step.  The dual is solved exactly; a dual
+    that does not settle raises NumericError from ``solve_nonneg_qp``.
     """
     _, g = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
     G = _memory_gradient_rows(state) if state.memory else np.zeros((0, len(g)))
@@ -549,8 +528,10 @@ def multitask_train(
         for start in range(0, len(order), hp.batch_size):
             idx = order[start : start + hp.batch_size]
             x = np.empty((len(idx), tasks[0].train_x.shape[1]))
-            for k in np.unique(source[idx]):
-                sel = source[idx] == k
+            src = source[idx]
+            # the batch's source tasks, ascending: np.unique would import numpy.ma
+            for k in np.flatnonzero(np.bincount(src)):
+                sel = src == k
                 x[sel] = tasks[k].train_x[local[idx[sel]]]
             mixed_loss_and_grad(model, Batch(x, y[idx], task_of[idx]), descriptors, grad)
             apply_update(model, grad, hp.lr)

@@ -5,7 +5,7 @@ without replacement from that task's training data (the whole task if it
 fits).  All buffers live in one stacked store: inputs, labels, sample ids
 and the task id of every row, with rows in ascending task order, so each
 stored task owns one contiguous row range and ``per_task[t]`` is a
-``Batch`` of views of that range.  The store is rebuilt once per task
+one-task ``Batch`` of views of that range.  The store is rebuilt once per task
 boundary and read everywhere else.  Reference batches are ``Batch``es
 drawn uniformly without replacement from all stored rows, each row with
 its originating task id for head routing.
@@ -30,8 +30,8 @@ class EpisodicMemory:
     ``x``, ``y``, ``ids`` and ``tasks`` hold one row per stored example,
     in ascending task order; the k-th stored task (ascending id) owns rows
     ``bounds[k]:bounds[k + 1]``.  ``per_task`` is a read-only mapping from
-    task id to a ``Batch`` of views into the store, ``tasks`` included, so
-    each example is held once.  ``add`` is the only writer.
+    task id to a ``Batch`` of views into the store that names its one task,
+    so each example is held once.  ``add`` is the only writer.
     """
 
     def __init__(self, per_task_capacity: int):
@@ -79,7 +79,7 @@ class EpisodicMemory:
             self.y = np.empty(0, dtype=np.int64)
             self.ids = np.empty(0, dtype=np.int64)
         self._buffers = {
-            t: Batch(self.x[lo:hi], self.y[lo:hi], self.tasks[lo:hi], self.ids[lo:hi])
+            t: Batch(self.x[lo:hi], self.y[lo:hi], t, self.ids[lo:hi])
             for t, lo, hi in zip(order, self.bounds[:-1], self.bounds[1:])
         }
 

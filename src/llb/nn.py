@@ -321,8 +321,8 @@ def trunk_backward(model: Model, pres, posts, d_hidden: np.ndarray):
     trunk layer, top layer first, given d(loss)/d(trunk output).
 
     A layer's weight gradient is its input's transpose times the delta:
-    summed over all rows for the mean gradient, over each task's rows for
-    GEM's constraint rows, and squared for the Fisher.
+    summed over the rows for a mean gradient (each of GEM's constraint
+    rows is one), and squared for the Fisher.
     """
     lay = layout(model.arch)
     d = d_hidden

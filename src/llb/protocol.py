@@ -116,6 +116,8 @@ def expand_grid(base: HyperParams, grid: dict[str, list]) -> list[HyperParams]:
         check_value("grid", name, values, [defaults[name]])
         if not values:
             raise ConfigurationError(f"empty grid for {name!r}")
+        if len(set(values)) < len(values):
+            raise ConfigurationError(f"grid {name!r} lists a value twice: {list(values)}")
         candidates = [replace(hp, **{name: v}) for hp in candidates for v in values]
     return candidates
 
@@ -555,6 +557,8 @@ class ExperimentConfig:
             check_value("config", f.name, getattr(self, f.name), default)
         if not self.seeds:
             raise ConfigurationError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigurationError(f"config 'seeds' names a seed twice: {list(self.seeds)}")
         if parse_learner(self.learner)[0] not in LEARNER_NAMES:
             raise ConfigurationError(
                 f"unknown learner {self.learner!r}; valid: {', '.join(LEARNER_NAMES)}"

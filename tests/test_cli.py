@@ -249,6 +249,7 @@ class TestRunCommand:
         ({"grid": {"lr": ["fast"]}}, [], "grid 'lr'"),
         ({}, ["--learner", "bogus"], "unknown learner 'bogus'"),
         ({}, ["--study-epochs", "0"], "config 'study_epochs'"),
+        ({}, ["--seeds", "0,0"], "config 'seeds' names a seed twice"),
     ])
     def test_print_config_checks_every_value(self, override, flags, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -279,7 +280,11 @@ class TestEmitReport:
         with open(tmp_path / "results.csv") as f:
             rows = list(csv.reader(f))
         assert rows[0] == FLAT_HEADER
+        assert FLAT_HEADER[4:6] == ["LCA", "lca_beta"]
         assert len(rows) == 1 + len(reports)
+        # the area is taken at the run's own horizon, which the next column names
+        for row, r in zip(rows[1:], reports):
+            assert float(row[4]) == r.lca and int(row[5]) == r.lca_beta
 
     def test_curve_csv_row_count(self, tmp_path):
         reports, config = self.make_reports()

@@ -617,6 +617,11 @@ class TestConfigValues:
         ({"seeds": ()}, "need at least one seed"),
         ({"seeds": (0, -1)}, "config 'seeds' must be a list of integers >= 0"),
         ({"study_epochs": 0}, "config 'study_epochs' must be an integer >= 1"),
+        # a seed run twice would be aggregated as two independent runs; a
+        # candidate listed twice would train twice, both rows marked selected
+        ({"seeds": (0, 1, 0)}, "config 'seeds' names a seed twice"),
+        ({"grid": {"lr": [0.03, 0.03]}}, "grid 'lr' lists a value twice"),
+        ({"grid": {"lr": [0.1], "lam": [1, 2, 1.0]}}, "grid 'lam' lists a value twice"),
     ])
     def test_experiment_config_checked_when_built_and_replaced(self, change, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
