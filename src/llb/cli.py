@@ -190,7 +190,9 @@ def run_learners(configs: list[ExperimentConfig], out_dir: str, jobs: int) -> No
     """Run each learner's config over its seeds, write one report for them
     all, and print the per-learner table.  The report's ``config`` maps each
     learner to its config and ``aggregate`` is keyed by learner;
-    ``cv_table.csv`` holds one row per learner, seed and CV candidate."""
+    ``cv_table.csv`` holds one row per learner, seed and CV candidate.
+    ``out_dir`` is made before any seed runs."""
+    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
     results = {c.learner: run_config_seeds(c, jobs=jobs) for c in configs}
     wall = time.perf_counter() - start
@@ -284,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (LlbError, FileNotFoundError) as exc:
+    except (LlbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,6 @@ the update rules can be tested in isolation.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -25,8 +24,6 @@ from .nn import Batch, Model, apply_update, loss_and_grad
 from .qp import DualProblem, drop_zero_rows, reconstruct, solve_nonneg_qp
 from .rng import spawn_seed, substream
 from .streams import TaskDataset
-
-log = logging.getLogger(__name__)
 
 DEGENERATE_REF_EPS = 1e-12
 CERTIFY_MARGIN = 4.0    # four times the round-off bound of ``certified_positive``
@@ -338,19 +335,14 @@ def ewc_consolidate(
     ``EwcAnchor``: the Fisher weights add, the anchor point moves to their
     weighted mean (a convex combination, so nothing cancels), and the
     parallel-axis term a b / (a + b) (p - q)^2 of the two merged quadratics
-    goes into the offset, so the penalty value stays exact.
+    goes into the offset, so the penalty value stays exact.  A
+    ``TaskDataset`` has a training row, so the sample is never empty.
     """
     n = len(task_dataset.train_y)
-    if n == 0:
-        log.warning("empty dataset at consolidation; Fisher set to zero")
-        fisher = np.zeros_like(state.model.theta)
-    else:
-        take = min(n, fisher_samples)
-        idx = substream(seed, "fisher", str(task_dataset.task_id)).choice(
-            n, size=take, replace=False
-        )
-        batch = Batch(task_dataset.train_x[idx], task_dataset.train_y[idx], task_dataset.task_id)
-        fisher = per_example_squared_grads(state.model, batch, state.descriptors) / take
+    take = min(n, fisher_samples)
+    idx = substream(seed, "fisher", str(task_dataset.task_id)).choice(n, size=take, replace=False)
+    batch = Batch(task_dataset.train_x[idx], task_dataset.train_y[idx], task_dataset.task_id)
+    fisher = per_example_squared_grads(state.model, batch, state.descriptors) / take
     weight = lam * fisher
     theta = state.model.theta
     if not state.ewc_anchors:
@@ -378,8 +370,9 @@ def ewc_penalty_and_grad(
     Read off the merged anchor: fisher (theta - theta_star)^2 + offset,
     with gradient 2 fisher (theta - theta_star).  The gradient is added
     into ``add_to`` when given (and that array returned), else returned as
-    a new vector.  The work runs in blocks of ``nn.BLOCK`` elements, so no
-    P-sized temporary is made; the penalty sums its blocks' dot products.
+    a new vector; with no anchor yet it is left as it is.  The work runs in
+    blocks of ``nn.BLOCK`` elements, so no P-sized temporary is made; the
+    penalty sums its blocks' dot products.
     """
     theta = state.model.theta
     grad = np.zeros_like(theta) if add_to is None else add_to
@@ -402,8 +395,7 @@ def ewc_penalty_and_grad(
 def ewc_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
     """SGD on task loss plus the merged quadratic anchor penalty."""
     _, grad = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
-    if state.ewc_anchors:
-        ewc_penalty_and_grad(state, add_to=grad)
+    ewc_penalty_and_grad(state, add_to=grad)
     apply_update(state.model, grad, lr)
     return state
 

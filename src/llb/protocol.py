@@ -62,11 +62,11 @@ LEAST_VALUES = {"tasks": 2, **dict.fromkeys((
 def check_value(level: str, key: str, value, default) -> None:
     """Raise ConfigurationError unless ``value`` takes its default's JSON
     type (an integer also serves as a number, a ``null`` default stands for
-    a string, a list's items take its first item's type, and any other
-    default stands for an object of its type) and every number in it is at
-    least its ``LEAST_VALUES`` entry, or 0 (``lr`` is above 0).  ``null`` is
-    valid where the default is ``null`` and for the per-task row counts,
-    where it keeps every base row.  ``level`` names the config object."""
+    a string, a list is not empty and its items take its first item's type,
+    and any other default stands for an object of its type) and every number
+    in it is at least its ``LEAST_VALUES`` entry, or 0 (``lr`` is above 0).
+    ``null`` is valid where the default is ``null`` and for the per-task row
+    counts, where it keeps every base row.  ``level`` names the config object."""
     nullable = default is None or key in ("train_per_task", "test_per_task")
     if value is None and nullable:
         return
@@ -82,11 +82,11 @@ def check_value(level: str, key: str, value, default) -> None:
         return (isinstance(v, types) and (types is bool or not isinstance(v, bool))
                 and (not bound or (v > 0 if key == "lr" else v >= least)))
 
-    if not (isinstance(value, (list, tuple)) and all(map(ok, value)) if is_list else ok(value)):
+    if not (isinstance(value, (list, tuple)) and value and all(map(ok, value)) if is_list
+            else ok(value)):
         wanted = f"a list of {noun}s" if is_list else ("an " if noun[0] in "aio" else "a ") + noun
-        raise ConfigurationError(
-            f"{level} {key!r} must be {wanted}{bound}{' or null' if nullable else ''}, got {value!r}"
-        )
+        rest = ", not empty" if is_list else " or null" if nullable else ""
+        raise ConfigurationError(f"{level} {key!r} must be {wanted}{bound}{rest}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,6 @@ def expand_grid(base: HyperParams, grid: dict[str, list]) -> list[HyperParams]:
     candidates = [base]
     for name, values in grid.items():
         check_value("grid", name, values, [defaults[name]])
-        if not values:
-            raise ConfigurationError(f"empty grid for {name!r}")
         if len(set(values)) < len(values):
             raise ConfigurationError(f"grid {name!r} lists a value twice: {list(values)}")
         candidates = [replace(hp, **{name: v}) for hp in candidates for v in values]
@@ -201,7 +199,7 @@ def check_stream(stream: dict) -> dict:
     check_cv_split(s["tasks"], s["cv_split"])
     if kind == "synthetic-split":
         check_class_split(s["num_classes"], s["classes_per_task"], s["tasks"],
-                          s["attributes"], s["with_replacement"])
+                          s["attributes"], s["with_replacement"], s["train_per_class"])
     return s
 
 
@@ -263,8 +261,6 @@ def eval_accuracy(
     ``test_x`` is the split's inputs when the caller has already gathered
     them; otherwise they are gathered here.
     """
-    if len(dataset.test_y) == 0:
-        raise ConfigurationError("empty evaluation set")
     if test_x is None:
         test_x = dataset.test_x[:]
     preds = predict_task(model, test_x, dataset.task_id, dataset.descriptor)
@@ -298,22 +294,18 @@ def run_single_pass(
     tasks: list[TaskDataset],
     hp: HyperParams,
     seed: int,
-    allow_multi_epoch: bool = False,
     log_accuracy: bool = True,
 ) -> tuple[LearnerState, RunTrace]:
     """Train over the stream in order, logging at the metric cadence.
 
     Returns the learner's state and the run's record.  Raises
-    ProtocolError on numeric failure and on any violation of the
-    single-pass audit.  A selection run passes ``log_accuracy=False``: it
-    trains and audits exactly as any other but evaluates nothing, so its
-    tensor holds only the batch counts, it has no memory tensor, and the
-    caller evaluates the final model itself.
+    ProtocolError on numeric failure and unless every training example was
+    visited exactly ``hp.epochs`` times (``study_epochs`` in an EV run).  A
+    selection run passes ``log_accuracy=False``: it trains and audits
+    exactly as any other but evaluates nothing, so its tensor holds only
+    the batch counts, it has no memory tensor, and the caller evaluates the
+    final model itself.
     """
-    if hp.epochs > 1 and not allow_multi_epoch:
-        raise ConfigurationError(
-            "multiple epochs are only allowed on CV streams or in study mode"
-        )
     order = [t.task_id for t in tasks]
     run = RunTrace(
         AccuracyTensor(order=order),
@@ -474,9 +466,7 @@ def cross_validate(
                 accs = _multitask_run(arch, cv_tasks, hp, seed)[0]
             else:
                 learner = make_learner(base, nn.init_model(arch, seed), hp, seed)
-                run_single_pass(
-                    learner, cv_tasks, hp, seed, allow_multi_epoch=True, log_accuracy=False
-                )
+                run_single_pass(learner, cv_tasks, hp, seed, log_accuracy=False)
                 accs = eval_all(learner.model, cv_tasks)
             candidates.append(CvCandidate(hp, float(np.mean(accs))))
         except (NumericError, ProtocolError) as exc:
@@ -555,8 +545,6 @@ class ExperimentConfig:
         for f in fields(self):
             default = f.default if f.default_factory is MISSING else f.default_factory()
             check_value("config", f.name, getattr(self, f.name), default)
-        if not self.seeds:
-            raise ConfigurationError("need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigurationError(f"config 'seeds' names a seed twice: {list(self.seeds)}")
         if parse_learner(self.learner)[0] not in LEARNER_NAMES:
@@ -583,7 +571,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     grid = expand_grid(config.base, config.grid)
 
     cv = cross_validate(config.learner, cv_tasks, arch, grid, seed)
-    hp = replace(cv.best, epochs=config.study_epochs)
+    hp = replace(cv.best, epochs=config.study_epochs)    # the EV run's one pass count
 
     if base_name == "multitask":
         accs, visits = _multitask_run(arch, ev_tasks, hp, seed)
@@ -604,9 +592,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     model = nn.init_model(arch, seed)
     learner = make_learner(base_name, model, hp, seed)
     audit_reset(learner, arch, seed)
-    state, run = run_single_pass(
-        learner, ev_tasks, hp, seed, allow_multi_epoch=config.study_epochs > 1
-    )
+    state, run = run_single_pass(learner, ev_tasks, hp, seed)
     audit_isolation(cv_tasks, ev_tasks, set(run.visit_counts))
     report = build_report(config.learner, seed, state, run, hp)
     return SeedResult(report, cv)

@@ -82,8 +82,9 @@ class Rows:
 class TaskDataset:
     """One task's data: train/test splits, descriptor, global label set.
 
-    Plain input arrays are wrapped as ``Rows`` over themselves.  Training
-    row i's sample id defaults to task_id * 2**32 + i, unique across tasks.
+    A task has at least one training row and one test row.  Plain input
+    arrays are wrapped as ``Rows`` over themselves.  Training row i's sample
+    id defaults to task_id * 2**32 + i, unique across tasks.
     """
 
     task_id: int
@@ -102,8 +103,10 @@ class TaskDataset:
             self.test_x = Rows(self.test_x)
         if self.train_ids is None:
             self.train_ids = self.task_id * 2**32 + np.arange(len(self.train_y), dtype=np.int64)
-        for y in (self.train_y, self.test_y):
-            if len(y) and (y.min() < 0 or y.max() >= len(self.label_set)):
+        for split, y in (("training", self.train_y), ("test", self.test_y)):
+            if len(y) == 0:
+                raise ConfigurationError(f"task {self.task_id} has no {split} row")
+            if y.min() < 0 or y.max() >= len(self.label_set):
                 raise ConfigurationError("labels must index into label_set")
 
     @property
@@ -118,15 +121,19 @@ def check_cv_split(tasks: int, cv_split: int) -> None:
 
 
 def check_class_split(num_classes: int, classes_per_task: int, tasks: int, attributes: int,
-                      with_replacement: bool) -> None:
+                      with_replacement: bool, train_per_class: int) -> None:
     """Each task's classes, and without replacement all tasks' classes, fit in
-    ``num_classes``, and ``attributes`` bits can give every class its own row."""
+    ``num_classes``; with replacement a class's pool can shard over ``tasks``
+    occurrences; ``attributes`` bits can give every class its own row."""
     if not 1 <= classes_per_task <= num_classes:
         raise ConfigurationError(f"classes_per_task={classes_per_task} must be at least 1 "
                                  f"and at most num_classes={num_classes}")
     if not with_replacement and tasks * classes_per_task > num_classes:
         raise ConfigurationError(f"tasks={tasks} x classes_per_task={classes_per_task} without "
                                  f"replacement exceeds num_classes={num_classes}")
+    if with_replacement and train_per_class < tasks:
+        raise ConfigurationError(f"train_per_class={train_per_class} with replacement must be "
+                                 f"at least tasks={tasks}: a class may recur in every task")
     if 2**attributes < num_classes:
         raise ConfigurationError(f"attributes={attributes} give at most {2**attributes} distinct "
                                  f"attribute rows, fewer than num_classes={num_classes}")
@@ -320,7 +327,7 @@ def make_synthetic_split_stream(
     disjoint shards across occurrences so no training example is ever seen
     twice.
     """
-    check_class_split(num_classes, classes_per_task, T, A, with_replacement)
+    check_class_split(num_classes, classes_per_task, T, A, with_replacement, train_per_class)
 
     rng = substream(seed, "split-stream")
     # Globally distinct binary attribute rows so descriptors separate classes.

@@ -138,6 +138,22 @@ class TestRunCommand:
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_config_path_a_directory_exit_2(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path), "--print-config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_out_path_not_a_directory_fails_before_any_seed(self, toy_config, tmp_path, capsys,
+                                                             monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_config_seeds", lambda config, jobs=1: ran.append(config))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", "--config", toy_config, "--out", str(out)]) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err
+
     def test_bad_config_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"learnerz": "agem"}))
@@ -193,6 +209,11 @@ class TestRunCommand:
           "with_replacement": True}, ["classes_per_task=9", "num_classes=8"]),
         ({"kind": "synthetic-split", "tasks": 4, "num_classes": 20, "attributes": 4},
          ["attributes=4", "num_classes=20"]),
+        # with replacement a class may recur in all 4 tasks, one shard of its pool each
+        ({"kind": "synthetic-split", "tasks": 4, "cv_split": 1, "num_classes": 2,
+          "classes_per_task": 2, "attributes": 4, "with_replacement": True,
+          "train_per_class": 2, "test_per_class": 3, "input_dim": 5},
+         ["train_per_class=2", "tasks=4"]),
     ])
     def test_unrunnable_stream_exit_2(self, stream, keys, tmp_path, capsys):
         # cross-key stream limits are checked with the config, before any stream is built

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from llb import nn, protocol
+from llb.cli import config_from_dict
 from llb.errors import ConfigurationError, NumericError, ProtocolError
 from llb.learners import LearnerState, make_learner, multitask_train
 from llb.metrics import AccuracyTensor, avg_accuracy
@@ -112,17 +113,6 @@ class TestRunSinglePass:
         assert len(trace.visit_counts) == 20
         assert set(trace.visit_counts.values()) == {1}
 
-    def test_multi_epoch_requires_flag(self):
-        cont = toy_stream()
-        cv, ev = split_cv_ev(cont)
-        arch = arch_for_stream(cont, (6, 5), False)
-        hp = toy_hp(epochs=2)
-        learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
-        with pytest.raises(ConfigurationError, match="epochs"):
-            run_single_pass(learner, ev, hp, 0)
-        learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
-        run_single_pass(learner, ev, hp, 0, allow_multi_epoch=True)
-
     def test_memory_tensor_recorded_for_memory_learners(self):
         cont = toy_stream()
         cv, ev = split_cv_ev(cont)
@@ -166,7 +156,7 @@ class TestRunSinglePass:
 
     def test_caller_passes_no_log(self):
         assert list(inspect.signature(run_single_pass).parameters) == [
-            "learner", "tasks", "hp", "seed", "allow_multi_epoch", "log_accuracy",
+            "learner", "tasks", "hp", "seed", "log_accuracy",
         ]
         assert list(inspect.signature(build_report).parameters) == [
             "learner_name", "seed", "state", "run", "hp",
@@ -356,7 +346,7 @@ class TestCrossValidate:
                 expected = float(np.mean(eval_all(model, cv)))
             else:
                 single = make_learner(base, nn.init_model(arch, 0), hp, 0)
-                _, run = run_single_pass(single, cv, hp, 0, allow_multi_epoch=True)
+                _, run = run_single_pass(single, cv, hp, 0)
                 expected = avg_accuracy(run.tensor, cv[-1].task_id)
             assert candidate.hp == hp
             assert candidate.accuracy == expected
@@ -540,8 +530,11 @@ class TestStreamKeys:
         root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
         for name in sorted(os.listdir(root)):
             with open(os.path.join(root, name)) as f:
-                stream = json.load(f)["stream"]
+                data = json.load(f)
+            stream = data["stream"]
             assert set(stream) <= {"kind", *STREAM_DEFAULTS[stream["kind"]]}, name
+            # and every value passes the config check, as ``llb run`` builds it
+            config_from_dict(data)
 
 
 class TestStreamValues:
@@ -610,11 +603,11 @@ class TestConfigValues:
         ({"stream": {"kind": "synthetic-split", "attributes": 0}}, "stream 'attributes'"),
         ({"stream": {"train_per_tsk": 20}}, "unknown stream key(s) ['train_per_tsk']"),
         ({"grid": {"lr": [0.1, 0]}}, "grid 'lr' must be a list of numbers > 0"),
-        ({"grid": {"lr": []}}, "empty grid for 'lr'"),
+        ({"grid": {"lr": []}}, "grid 'lr' must be a list of numbers > 0, not empty, got []"),
         ({"grid": {"nope": [1]}}, "unknown hyper-parameter(s) in grid"),
         ({"base": {"lr": 0.1}}, "config 'base' must be an object"),
         ({"hidden": (64, 0)}, "config 'hidden' must be a list of integers >= 1"),
-        ({"seeds": ()}, "need at least one seed"),
+        ({"seeds": ()}, "config 'seeds' must be a list of integers >= 0, not empty, got ()"),
         ({"seeds": (0, -1)}, "config 'seeds' must be a list of integers >= 0"),
         ({"study_epochs": 0}, "config 'study_epochs' must be an integer >= 1"),
         # a seed run twice would be aggregated as two independent runs; a
@@ -622,6 +615,7 @@ class TestConfigValues:
         ({"seeds": (0, 1, 0)}, "config 'seeds' names a seed twice"),
         ({"grid": {"lr": [0.03, 0.03]}}, "grid 'lr' lists a value twice"),
         ({"grid": {"lr": [0.1], "lam": [1, 2, 1.0]}}, "grid 'lam' lists a value twice"),
+        ({"hidden": ()}, "config 'hidden' must be a list of integers >= 1, not empty, got ()"),
     ])
     def test_experiment_config_checked_when_built_and_replaced(self, change, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -683,13 +677,14 @@ class TestRunSeed:
         assert 0 <= r.avg_accuracy <= 1
         assert r.forgetting is None
 
-    def test_multitask_study_epochs_pass_audit(self, monkeypatch):
+    @pytest.mark.parametrize("learner", ["multitask", "agem"])
+    def test_multitask_study_epochs_pass_audit(self, learner, monkeypatch):
         # the EV run makes study_epochs passes and its audit expects that many
         audited, audit = [], protocol.audit_single_pass
         monkeypatch.setattr(protocol, "audit_single_pass",
                             lambda visits, tasks, epochs=1: audited.append(epochs)
                             or audit(visits, tasks, epochs))
-        config = replace(self.config(learner="multitask"), study_epochs=2)
+        config = replace(self.config(learner=learner), study_epochs=2)
         r = run_seed(config, 0).report
         assert audited == [1, 2]    # the CV candidate, then the EV run
         assert r.hyperparams == asdict(replace(config.base, epochs=2))

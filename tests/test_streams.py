@@ -389,6 +389,15 @@ class TestLazyRows:
         with pytest.raises(ConfigurationError):
             Rows(np.zeros(5))
 
+    @pytest.mark.parametrize("split, n_train, n_test", [("training", 0, 3), ("test", 3, 0)])
+    def test_task_without_rows_rejected(self, split, n_train, n_test):
+        with pytest.raises(ConfigurationError, match=f"task 1 has no {split} row"):
+            TaskDataset(
+                task_id=1, train_x=np.zeros((n_train, 4)), train_y=np.zeros(n_train, np.int64),
+                test_x=np.zeros((n_test, 4)), test_y=np.zeros(n_test, np.int64),
+                descriptor=1, label_set=(0,),
+            )
+
 
 class TestLazyMinibatches:
     def make_task(self, n=23, dim=6, seed=1):
