@@ -1,6 +1,6 @@
 """Single-pass lifelong-learning training engine and benchmark harness."""
 
-from .embedding import je_loss_and_grad, zero_shot_eval
+from .embedding import je_loss_and_grad
 from .errors import (
     ConfigurationError,
     IdxFormatError,

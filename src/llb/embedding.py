@@ -41,19 +41,3 @@ def je_predict(model: Model, inputs: np.ndarray, descriptor: np.ndarray) -> np.n
     head = Head(model, None, descriptor)
     _, posts = trunk_forward(model, inputs)
     return head.logits(posts[-1]).argmax(axis=1)
-
-
-def zero_shot_eval(model: Model, task_dataset) -> float:
-    """Test accuracy on a task the model has not trained on, via its descriptor.
-
-    Pure read; errors for integer-descriptor tasks or per-task-head models,
-    where no zero-shot path exists.
-    """
-    desc = task_dataset.descriptor
-    if not isinstance(desc, np.ndarray):
-        raise ConfigurationError(
-            "zero-shot evaluation needs an attribute descriptor, "
-            f"got integer descriptor {desc!r}"
-        )
-    preds = je_predict(model, task_dataset.test_x[:], desc)
-    return float(np.mean(preds == task_dataset.test_y))

@@ -34,4 +34,4 @@ class IncompleteLogError(LlbError):
 
 
 class ProtocolError(LlbError):
-    """The training/evaluation protocol could not be completed."""
+    """A protocol audit failed, or hyper-parameter selection had no candidate left."""

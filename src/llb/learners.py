@@ -11,6 +11,7 @@ the update rules can be tested in isolation.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -229,7 +230,7 @@ def agem_step(
 ) -> LearnerState:
     """Gradient step constrained by the average memory gradient.
 
-    Empty memory falls back to a plain step.  The reference gradient's
+    An empty memory makes this a plain ``vanilla_step``.  The reference gradient's
     trunk weight blocks are formed only on steps that need them: where the
     check pays for the shapes (``factors_pay``), the constraint is first
     decided from the trunk layers' low-rank factors, and a step that
@@ -239,10 +240,9 @@ def agem_step(
     non-finite cases form the blocks and project as before, so results
     are the same bit for bit.
     """
-    ref = sample_ref_batch(state.memory, ref_size, rng) if state.memory else None
-    if ref is None:
+    if not state.memory:
         return vanilla_step(state, batch, lr)
-    return _reference_step(state, batch, lr, ref)
+    return _reference_step(state, batch, lr, sample_ref_batch(state.memory, ref_size, rng))
 
 
 def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
@@ -262,15 +262,18 @@ def _memory_gradient_rows(state: LearnerState) -> np.ndarray:
 def gem_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
     """Gradient step constrained per stored task, via the dual QP.
 
-    The constraint matrix G is recomputed from the full buffers at every
-    step, one kernel call per stored task (``_memory_gradient_rows``).
-    G g is formed once: it decides whether any constraint is violated and
-    is the dual's linear term.  With no stored tasks (or all-zero memory
-    gradients) this is a plain step.  The dual is solved exactly; a dual
-    that does not settle raises NumericError from ``solve_nonneg_qp``.
+    An empty memory makes this a plain ``vanilla_step``.  Otherwise the
+    constraint matrix G is recomputed from the full buffers at every step,
+    one kernel call per stored task (``_memory_gradient_rows``).  G g is
+    formed once: it decides whether any constraint is violated and is the
+    dual's linear term; with all-zero memory gradients G has no row and the
+    step is plain.  The dual is solved exactly; a dual that does not settle
+    raises NumericError from ``solve_nonneg_qp``.
     """
+    if not state.memory:
+        return vanilla_step(state, batch, lr)
     _, g = batch_loss_and_grad(state.model, batch, state.descriptors, state.g)
-    G = _memory_gradient_rows(state) if state.memory else np.zeros((0, len(g)))
+    G = _memory_gradient_rows(state)
     Gg = G @ g
     if np.all(Gg >= 0.0):
         apply_update(state.model, g, lr)
@@ -289,12 +292,12 @@ def sgem_step(
 ) -> LearnerState:
     """Gradient step constrained by one uniformly sampled stored task: its
     ``per_task`` buffer, a view of the store, is the reference batch of
-    A-GEM's ``_reference_step``.  Empty memory falls back to a plain step."""
-    mem = state.memory
-    if not mem:
+    A-GEM's ``_reference_step``.  An empty memory makes this a plain
+    ``vanilla_step``."""
+    if not state.memory:
         return vanilla_step(state, batch, lr)
-    k = int(rng.integers(0, len(mem.per_task)))
-    return _reference_step(state, batch, lr, list(mem.per_task.values())[k])
+    buffers = list(state.memory.per_task.values())
+    return _reference_step(state, batch, lr, buffers[int(rng.integers(0, len(buffers)))])
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +344,7 @@ def ewc_consolidate(
     n = len(task_dataset.train_y)
     take = min(n, fisher_samples)
     idx = substream(seed, "fisher", str(task_dataset.task_id)).choice(n, size=take, replace=False)
-    batch = Batch(task_dataset.train_x[idx], task_dataset.train_y[idx], task_dataset.task_id)
+    batch = task_dataset.batch(idx)
     fisher = per_example_squared_grads(state.model, batch, state.descriptors) / take
     weight = lam * fisher
     theta = state.model.theta
@@ -494,7 +497,7 @@ def make_learner(name: str, model: Model, hp, seed: int) -> Learner:
 
 def multitask_train(
     model: Model, tasks: list[TaskDataset], hp, seed: int
-) -> tuple[Model, dict[int, int]]:
+) -> tuple[Model, Counter]:
     """Upper-bound baseline: ``hp.epochs`` shuffled passes over all tasks' data.
 
     Each shuffled batch is gathered from its tasks' rows, so the pooled
@@ -512,7 +515,7 @@ def multitask_train(
     source = np.concatenate([np.full(len(t.train_y), k) for k, t in enumerate(tasks)])
     local = np.concatenate([np.arange(len(t.train_y)) for t in tasks])
     ids = np.concatenate([t.train_ids for t in tasks])
-    visits: dict[int, int] = {}
+    visits = Counter()
     for epoch in range(hp.epochs):
         # epoch 0 keeps the single-pass order
         names = ("shuffle", "multitask", str(epoch)) if epoch else ("shuffle", "multitask")
@@ -527,6 +530,5 @@ def multitask_train(
                 x[sel] = tasks[k].train_x[local[idx[sel]]]
             mixed_loss_and_grad(model, Batch(x, y[idx], task_of[idx]), descriptors, grad)
             apply_update(model, grad, hp.lr)
-            for i in ids[idx]:
-                visits[int(i)] = visits.get(int(i), 0) + 1
+            visits.update(ids[idx].tolist())
     return model, visits

@@ -87,14 +87,13 @@ class EpisodicMemory:
 def update_eps_mem(mem: EpisodicMemory, task_dataset: TaskDataset, seed: int) -> EpisodicMemory:
     """Store up to the per-task capacity of uniformly chosen training examples
     of ``task_dataset``, as the rows of its task."""
-    d = task_dataset
-    n = len(d.train_y)
+    n = len(task_dataset.train_y)
     m = mem.per_task_capacity
     if n <= m:
         idx = np.arange(n)
     else:
-        idx = substream(seed, "memory", str(d.task_id)).choice(n, size=m, replace=False)
-    mem.add(Batch(d.train_x[idx], d.train_y[idx], d.task_id, d.train_ids[idx]))
+        idx = substream(seed, "memory", str(task_dataset.task_id)).choice(n, size=m, replace=False)
+    mem.add(task_dataset.batch(idx))
     return mem
 
 

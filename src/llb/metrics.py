@@ -122,25 +122,27 @@ def zero_shot_series(tensor: AccuracyTensor) -> list[tuple[int, float]]:
     return [(k, tensor.get(k, 0, k)) for k in tensor.order]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MetricsReport:
-    """Everything one run reports; assembled by the protocol."""
+    """Everything one run reports; assembled by the protocol.  The fields a
+    single pass's log and step timer fill default to ``None``, empty or 0,
+    as a run without one (the multitask baseline) reports them."""
 
     learner: str
     seed: int
     avg_accuracy: float
-    forgetting: float | None
-    worst_case_forgetting_test: float | None
-    worst_case_forgetting_memory: float | None
-    lca: float | None
+    forgetting: float | None = None
+    worst_case_forgetting_test: float | None = None
+    worst_case_forgetting_memory: float | None = None
+    lca: float | None = None
     lca_beta: int
-    zb_curve: list[float]
-    bshot_curves: list[tuple[int, int, float]]    # (task, b, accuracy), b <= beta
-    zero_shot: list[tuple[int, float]]
-    violations: int
-    violations_by_task: list[tuple[int, int]]     # cumulative, at each boundary
-    mean_step_seconds: float
-    step_seconds_by_task: list[tuple[int, float]]  # per-task mean step cost
+    zb_curve: list[float] = field(default_factory=list)
+    bshot_curves: list[tuple[int, int, float]] = field(default_factory=list)  # (task, b, acc)
+    zero_shot: list[tuple[int, float]] = field(default_factory=list)
+    violations: int = 0
+    violations_by_task: list[tuple[int, int]] = field(default_factory=list)  # cumulative
+    mean_step_seconds: float | None = None
+    step_seconds_by_task: list[tuple[int, float]] = field(default_factory=list)  # per-task mean
     param_count: int
     hyperparams: dict
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numbers
 import os
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -245,26 +246,29 @@ def arch_for_stream(
 # evaluation
 
 
-def predict_task(model: nn.Model, inputs: np.ndarray, task: int, descriptor) -> np.ndarray:
-    """Predicted within-task class of each row: the task's own head, or the
+def accuracy(model: nn.Model, x: np.ndarray, y: np.ndarray, task: int, descriptor) -> float:
+    """Share of the labelled rows ``x``, ``y`` of ``task`` whose predicted
+    within-task class is right: predicted by the task's own head, or by the
     attribute table scored through the task's descriptor."""
     if model.arch.head_mode == nn.JOINT_EMBEDDING:
-        return je_predict(model, inputs, descriptor)
-    return nn.predict(model, inputs, task)
+        preds = je_predict(model, x, descriptor)
+    else:
+        preds = nn.predict(model, x, task)
+    return float(np.mean(preds == y))
 
 
 def eval_accuracy(
     model: nn.Model, dataset: TaskDataset, test_x: np.ndarray | None = None
 ) -> float:
-    """Exact accuracy over a task's full test split.
+    """Exact accuracy over a task's full test split; zero-shot accuracy on
+    a task the model has not trained on.
 
     ``test_x`` is the split's inputs when the caller has already gathered
     them; otherwise they are gathered here.
     """
     if test_x is None:
         test_x = dataset.test_x[:]
-    preds = predict_task(model, test_x, dataset.task_id, dataset.descriptor)
-    return float(np.mean(preds == dataset.test_y))
+    return accuracy(model, test_x, dataset.test_y, dataset.task_id, dataset.descriptor)
 
 
 def eval_all(model: nn.Model, tasks: list[TaskDataset]) -> np.ndarray:
@@ -286,7 +290,7 @@ class RunTrace:
     memory_tensor: AccuracyTensor | None
     violations_by_task: list[tuple[int, int]] = field(default_factory=list)
     step_seconds_by_task: list[tuple[int, float]] = field(default_factory=list)
-    visit_counts: dict[int, int] = field(default_factory=dict)
+    visit_counts: Counter = field(default_factory=Counter)
 
 
 def run_single_pass(
@@ -298,9 +302,10 @@ def run_single_pass(
 ) -> tuple[LearnerState, RunTrace]:
     """Train over the stream in order, logging at the metric cadence.
 
-    Returns the learner's state and the run's record.  Raises
-    ProtocolError on numeric failure and unless every training example was
-    visited exactly ``hp.epochs`` times (``study_epochs`` in an EV run).  A
+    Returns the learner's state and the run's record.  A numeric failure
+    while training a task raises NumericError naming the task; the
+    single-pass audit raises ProtocolError unless every training example
+    was visited exactly ``hp.epochs`` times (``study_epochs`` in an EV run).  A
     selection run passes ``log_accuracy=False``: it trains and audits
     exactly as any other but evaluates nothing, so its tensor holds only
     the batch counts, it has no memory tensor, and the caller evaluates the
@@ -328,17 +333,14 @@ def run_single_pass(
         try:
             for i, batch in enumerate(batches, 1):
                 learner.timed_step(batch)
-                for sid in batch.ids:
-                    visits[int(sid)] = visits.get(int(sid), 0) + 1
+                visits.update(batch.ids.tolist())
                 if i <= beta:
                     record(
                         tensor, task.task_id, i, task.task_id,
                         eval_accuracy(learner.model, task, test_x),
                     )
         except NumericError as exc:
-            raise ProtocolError(
-                f"numeric failure during task {task.task_id}: {exc}"
-            ) from exc
+            raise NumericError(f"numeric failure during task {task.task_id}: {exc}") from exc
         tensor.batch_counts[task.task_id] = len(batches)
         learner.end_task(task)
         if log_accuracy:
@@ -348,11 +350,9 @@ def run_single_pass(
         if run.memory_tensor is not None:
             run.memory_tensor.batch_counts[task.task_id] = len(batches)
             for stored, buf in learner.state.memory.per_task.items():
-                preds = predict_task(learner.model, buf.x, stored, learner.state.descriptors[stored])
-                record(
-                    run.memory_tensor, task.task_id, len(batches), stored,
-                    float(np.mean(preds == buf.y)),
-                )
+                descriptor = learner.state.descriptors[stored]
+                acc = accuracy(learner.model, buf.x, buf.y, stored, descriptor)
+                record(run.memory_tensor, task.task_id, len(batches), stored, acc)
         run.violations_by_task.append((task.task_id, learner.state.violation_count))
         steps = learner.state.step_count - steps0
         run.step_seconds_by_task.append(
@@ -371,10 +371,8 @@ def audit_single_pass(
     visit_counts: dict[int, int], tasks: list[TaskDataset], epochs: int = 1
 ) -> None:
     """Every training example of the stream seen exactly ``epochs`` times."""
-    expected: dict[int, int] = {}
-    for t in tasks:
-        for sid in t.train_ids:
-            expected[int(sid)] = epochs
+    # a plain dict: dict equality, unlike a Counter's, tells a 0 count from a missing id
+    expected = {sid: epochs for t in tasks for sid in t.train_ids.tolist()}
     if visit_counts != expected:
         bad = {
             k: (visit_counts.get(k, 0), expected.get(k))
@@ -431,7 +429,7 @@ class CvResult:
 
 def _multitask_run(
     arch: nn.Architecture, tasks: list[TaskDataset], hp: HyperParams, seed: int
-) -> tuple[np.ndarray, dict[int, int]]:
+) -> tuple[np.ndarray, Counter]:
     """Train the multitask baseline from init, audit its single pass, and
     return the per-task test accuracies and the visit counts."""
     model, visits = multitask_train(nn.init_model(arch, seed), tasks, hp, seed)
@@ -453,8 +451,9 @@ def cross_validate(
     as any single pass, but evaluates once: the ``eval_all`` over the CV
     tasks after the last of them, the only accuracy selection reads.  Ties
     keep the first candidate in grid order.  A candidate whose training or
-    final evaluation fails numerically scores ``None``; a failed audit of
-    a CV run raises its own ``ProtocolError``.
+    final evaluation raises NumericError scores ``None``; a failed audit of
+    a CV run raises its own ``ProtocolError``, and so does a grid whose
+    every candidate failed.
     """
     if not grid:
         raise ConfigurationError("empty hyper-parameter grid")
@@ -469,9 +468,7 @@ def cross_validate(
                 run_single_pass(learner, cv_tasks, hp, seed, log_accuracy=False)
                 accs = eval_all(learner.model, cv_tasks)
             candidates.append(CvCandidate(hp, float(np.mean(accs))))
-        except (NumericError, ProtocolError) as exc:
-            if not isinstance(exc, NumericError) and not isinstance(exc.__cause__, NumericError):
-                raise
+        except NumericError:
             candidates.append(CvCandidate(hp, None))
     scored = [c for c in candidates if c.accuracy is not None]
     if not scored:
@@ -547,12 +544,17 @@ class ExperimentConfig:
             check_value("config", f.name, getattr(self, f.name), default)
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigurationError(f"config 'seeds' names a seed twice: {list(self.seeds)}")
-        if parse_learner(self.learner)[0] not in LEARNER_NAMES:
+        base, je = parse_learner(self.learner)
+        if base not in LEARNER_NAMES:
             raise ConfigurationError(
                 f"unknown learner {self.learner!r}; valid: {', '.join(LEARNER_NAMES)}"
                 " (each optionally with a -je suffix)"
             )
-        check_stream(self.stream)
+        if check_stream(self.stream)["kind"] == "permuted-mnist" and je:
+            raise ConfigurationError(
+                f"learner {self.learner!r} needs attribute descriptors (stream kind "
+                "'synthetic-split'); permuted-mnist provides integer task ids"
+            )
         expand_grid(self.base, self.grid)
 
 
@@ -577,15 +579,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
         accs, visits = _multitask_run(arch, ev_tasks, hp, seed)
         audit_isolation(cv_tasks, ev_tasks, set(visits))
         report = MetricsReport(
-            learner=config.learner, seed=seed,
-            avg_accuracy=float(np.mean(accs)),
-            forgetting=None, worst_case_forgetting_test=None,
-            worst_case_forgetting_memory=None,
-            lca=None, lca_beta=hp.beta, zb_curve=[], bshot_curves=[], zero_shot=[],
-            violations=0, violations_by_task=[],
-            mean_step_seconds=0.0, step_seconds_by_task=[],
-            param_count=arch.param_count,
-            hyperparams=asdict(hp),
+            learner=config.learner, seed=seed, avg_accuracy=float(np.mean(accs)),
+            lca_beta=hp.beta, param_count=arch.param_count, hyperparams=asdict(hp),
         )
         return SeedResult(report, cv)
 

@@ -113,6 +113,10 @@ class TaskDataset:
     def num_classes(self) -> int:
         return len(self.label_set)
 
+    def batch(self, rows) -> Batch:
+        """The training rows ``rows`` as a one-task ``Batch`` with their sample ids."""
+        return Batch(self.train_x[rows], self.train_y[rows], self.task_id, self.train_ids[rows])
+
 
 def check_cv_split(tasks: int, cv_split: int) -> None:
     """The CV stream is a non-empty prefix of the tasks that leaves EV tasks."""
@@ -424,9 +428,7 @@ class Minibatches(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Minibatches(self.dataset, self.batch_rows[i])
-        idx = self.batch_rows[i]
-        d = self.dataset
-        return Batch(d.train_x[idx], d.train_y[idx], d.task_id, d.train_ids[idx])
+        return self.dataset.batch(self.batch_rows[i])
 
 
 def minibatches(dataset: TaskDataset, B: int, seed: int, epochs: int = 1) -> Minibatches:

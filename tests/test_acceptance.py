@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from llb import nn
-from llb.embedding import zero_shot_eval
 from llb.errors import ConfigurationError, ProtocolError
 from llb.learners import make_learner
 from llb.memory import EpisodicMemory, update_eps_mem
@@ -27,6 +26,7 @@ from llb.protocol import (
     audit_reset,
     audit_single_pass,
     build_stream,
+    eval_accuracy,
     run_seed,
     run_single_pass,
     split_cv_ev,
@@ -318,9 +318,9 @@ def test_09_zero_shot_transfer():
                                    "base_train": 100, "base_test": 50}, 0)
     je_arch = nn.Architecture(784, (8,), head_mode=nn.JOINT_EMBEDDING, attr_count=4)
     try:
-        zero_shot_eval(nn.init_model(je_arch, 0), integer_stream.tasks[0])
+        eval_accuracy(nn.init_model(je_arch, 0), integer_stream.tasks[0])
         guard = False
-    except ConfigurationError:
-        guard = True
+    except ConfigurationError as exc:
+        guard = "descriptor of task" in str(exc)
     ok &= guard
     report(9, ok, "; ".join(lines) + f"; integer-descriptor guard: {guard}")

@@ -271,6 +271,7 @@ class TestRunCommand:
         ({}, ["--learner", "bogus"], "unknown learner 'bogus'"),
         ({}, ["--study-epochs", "0"], "config 'study_epochs'"),
         ({}, ["--seeds", "0,0"], "config 'seeds' names a seed twice"),
+        ({}, ["--learner", "agem-je"], "integer task ids"),
     ])
     def test_print_config_checks_every_value(self, override, flags, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -422,6 +423,19 @@ class TestCompareAndGrid:
         assert main([command, "--config", two_task_toy(tmp_path), "--learners", "vanilla",
                      "--out", str(tmp_path / "out")]) == 0
         assert [c.learner for c in ran] == ["vanilla"]
+
+    def test_je_learner_on_integer_stream_rejected_before_any_run(self, toy_config, tmp_path,
+                                                                 capsys, monkeypatch):
+        # found after agem's seeds, the error would lose their finished results
+        ran, run = [], cli.run_config_seeds
+        monkeypatch.setattr(cli, "run_config_seeds",
+                            lambda config, jobs=1: ran.append(config) or run(config, jobs))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", toy_config, "--learners", "agem,agem-je",
+                     "--out", str(out)]) == 2
+        assert ran == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "integer task ids" in err
 
     @pytest.mark.parametrize("command", ["compare", "grid"])
     def test_repeated_learner_rejected_before_any_run(self, command, toy_config, tmp_path,

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from llb import nn
-from llb.embedding import je_loss_and_grad, je_predict, zero_shot_eval
+from llb.embedding import je_loss_and_grad, je_predict
 from llb.errors import ConfigurationError
 from llb.oracles import finite_diff_grad, naive_matmul, naive_mlp_forward
+from llb.protocol import eval_accuracy
 from llb.streams import make_synthetic_split_stream, split_cv_ev
 
 
@@ -137,7 +138,7 @@ class TestZeroShot:
     def test_untrained_model_is_chance_level(self):
         cont = self.stream()
         arch = nn.Architecture(12, (10, 8), head_mode=nn.JOINT_EMBEDDING, attr_count=16)
-        accs = [zero_shot_eval(nn.init_model(arch, s), cont.tasks[0]) for s in range(30)]
+        accs = [eval_accuracy(nn.init_model(arch, s), cont.tasks[0]) for s in range(30)]
         # 150 test points, 5 classes: binomial 3 sigma around 0.2
         assert abs(np.mean(accs) - 0.2) < 3 * np.sqrt(0.2 * 0.8 / (150 * 30))
 
@@ -153,7 +154,7 @@ class TestZeroShot:
         for _ in range(3):
             for batch in minibatches(task, 10, 0, epochs=1):
                 vanilla_step(state, batch, 0.1)
-        assert zero_shot_eval(state.model, task) > 0.4
+        assert eval_accuracy(state.model, task) > 0.4
 
     def test_integer_descriptor_rejected(self):
         from llb.streams import make_permuted_stream, synthetic_mnist_base
@@ -161,8 +162,8 @@ class TestZeroShot:
         base = synthetic_mnist_base(60, 40, seed=0, dim=12)
         cont = make_permuted_stream(base, T=2, seed=0, cv_split=1)
         arch = nn.Architecture(12, (10, 8), head_mode=nn.JOINT_EMBEDDING, attr_count=16)
-        with pytest.raises(ConfigurationError, match="integer descriptor"):
-            zero_shot_eval(nn.init_model(arch, 0), cont.tasks[0])
+        with pytest.raises(ConfigurationError, match="descriptor of task"):
+            eval_accuracy(nn.init_model(arch, 0), cont.tasks[0])
 
 
 class TestSharedTableCoupling:

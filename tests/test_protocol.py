@@ -92,6 +92,17 @@ class TestRunSinglePass:
         assert set(trace.visit_counts) == expected
         assert set(trace.visit_counts.values()) == {1}
 
+    def test_numeric_failure_keeps_its_type_and_names_the_task(self):
+        cont = toy_stream()
+        _, ev = split_cv_ev(cont)
+        # the second EV task's training inputs are NaN; its test split is clean
+        ev[1] = replace(ev[1], train_x=np.full(ev[1].train_x.shape, np.nan))
+        hp = toy_hp()
+        learner = make_learner("vanilla", nn.init_model(arch_for_stream(cont, (6, 5), False), 0),
+                               hp, 0)
+        with pytest.raises(NumericError, match=f"during task {ev[1].task_id}: non-finite"):
+            run_single_pass(learner, ev, hp, 0)
+
     def test_hand_built_tasks_pass_the_single_pass_audit(self):
         # tasks made without train_ids get distinct default ids, so one
         # correct pass over two of them visits 20 distinct examples once each
@@ -193,6 +204,9 @@ class TestAudits:
         visits.pop(next(iter(visits)))
         with pytest.raises(ProtocolError, match="single-pass"):
             audit_single_pass(visits, ev, 1)
+
+    def test_single_pass_audit_of_an_empty_stream_passes(self):
+        audit_single_pass({}, [])
 
     def test_single_pass_audit_detects_double_visit(self):
         cont = toy_stream()
@@ -353,7 +367,7 @@ class TestCrossValidate:
 
     def test_a_candidate_evaluates_only_once_after_the_last_task(self, monkeypatch):
         cv, arch = self.cv_setup("agem")
-        counts = {"eval_accuracy": 0, "predict_task": 0}
+        counts = {"eval_accuracy": 0, "accuracy": 0}
 
         def counting(name):
             original = getattr(protocol, name)
@@ -368,9 +382,9 @@ class TestCrossValidate:
         hp = toy_hp(beta=2)
         cross_validate("agem", cv, arch, [hp], seed=0)
         # one test-split evaluation per CV task, no memory-buffer prediction
-        assert counts == {"eval_accuracy": len(cv), "predict_task": len(cv)}
+        assert counts == {"eval_accuracy": len(cv), "accuracy": len(cv)}
 
-        counts.update(eval_accuracy=0, predict_task=0)
+        counts.update(eval_accuracy=0, accuracy=0)
         learner = make_learner("agem", nn.init_model(arch, 0), hp, 0)
         _, run = run_single_pass(learner, cv, hp, 0)
         T = len(cv)
@@ -378,8 +392,8 @@ class TestCrossValidate:
         # a later task's zero-shot entry is read off the previous boundary's
         # evaluation, so only the first task is evaluated before training
         evals = 1 + sum(min(hp.beta, b) + T for b in batches)
-        # the full pass also predicts on the k buffers stored after task k
-        assert counts == {"eval_accuracy": evals, "predict_task": evals + T * (T + 1) // 2}
+        # the full pass also scores the k buffers stored after task k
+        assert counts == {"eval_accuracy": evals, "accuracy": evals + T * (T + 1) // 2}
 
     def test_numeric_failure_of_the_final_evaluation_scores_none(self, monkeypatch):
         cv, arch = self.cv_setup("vanilla")
@@ -675,7 +689,12 @@ class TestRunSeed:
     def test_multitask_report(self):
         r = run_seed(self.config(learner="multitask"), 0).report
         assert 0 <= r.avg_accuracy <= 1
-        assert r.forgetting is None
+        # no single-pass log and no timed step: every per-pass field is empty
+        assert r.forgetting is r.worst_case_forgetting_test is r.worst_case_forgetting_memory is None
+        assert r.lca is None and r.mean_step_seconds is None and r.violations == 0
+        assert [r.zb_curve, r.bshot_curves, r.zero_shot, r.violations_by_task,
+                r.step_seconds_by_task] == [[]] * 5
+        assert r.lca_beta == 2 and r.param_count > 0
 
     @pytest.mark.parametrize("learner", ["multitask", "agem"])
     def test_multitask_study_epochs_pass_audit(self, learner, monkeypatch):
@@ -733,8 +752,12 @@ class TestRunSeed:
         assert len(calls) == 1
 
     def test_je_on_integer_stream_rejected(self):
+        # the config refuses it when built; arch_for_stream, public for
+        # hand-built continua, keeps its own check
         with pytest.raises(ConfigurationError, match="integer task ids"):
-            run_seed(self.config(learner="agem-je"), 0)
+            self.config(learner="agem-je")
+        with pytest.raises(ConfigurationError, match="integer task ids"):
+            arch_for_stream(toy_stream(), (6, 5), True)
 
     def test_lca_beta_clamped_to_shortest_task(self):
         r = run_seed(self.config(), 0).report

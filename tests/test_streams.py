@@ -308,6 +308,12 @@ class TestLazyRows:
             assert task.train_x[7][3] == train[7, 3]
             assert np.array_equal(task.train_x[-1], train[-1])
             assert np.array_equal(task.test_x[5:9][:, 2:4], test[5:9, 2:4])
+            rows = np.array([4, 0, 9, 4])
+            batch = task.batch(rows)
+            local = task.train_ids[rows] - task.task_id * 2**32
+            assert np.array_equal(batch.x, train[rows])
+            assert np.array_equal(batch.y, base.train_y[local]) and batch.tasks == task.task_id
+            assert np.array_equal(batch.ids, task.train_ids[rows])
             pos = {int(i): r for r, i in enumerate(task.train_ids)}
             for batch in minibatches(task, 8, seed):
                 assert np.array_equal(batch.x, train[[pos[int(i)] for i in batch.ids]])
