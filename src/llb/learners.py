@@ -11,7 +11,6 @@ the update rules can be tested in isolation.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -497,13 +496,13 @@ def make_learner(name: str, model: Model, hp, seed: int) -> Learner:
 
 def multitask_train(
     model: Model, tasks: list[TaskDataset], hp, seed: int
-) -> tuple[Model, Counter]:
+) -> tuple[Model, np.ndarray]:
     """Upper-bound baseline: ``hp.epochs`` shuffled passes over all tasks' data.
 
     Each shuffled batch is gathered from its tasks' rows, so the pooled
     inputs are never materialized.  Trains ``model`` in place and returns
-    it with the per-example visit counts (each should be exactly
-    ``hp.epochs``).
+    it with the visit ledger: the sample id of every row trained on, in
+    training order (each id should occur exactly ``hp.epochs`` times).
     """
     grad = np.empty_like(model.theta)     # the gradient workspace of every batch
     descriptors = {t.task_id: t.descriptor for t in tasks}
@@ -515,7 +514,8 @@ def multitask_train(
     source = np.concatenate([np.full(len(t.train_y), k) for k, t in enumerate(tasks)])
     local = np.concatenate([np.arange(len(t.train_y)) for t in tasks])
     ids = np.concatenate([t.train_ids for t in tasks])
-    visits = Counter()
+    visits = np.empty(hp.epochs * len(y), dtype=np.int64)
+    done = 0
     for epoch in range(hp.epochs):
         # epoch 0 keeps the single-pass order
         names = ("shuffle", "multitask", str(epoch)) if epoch else ("shuffle", "multitask")
@@ -530,5 +530,6 @@ def multitask_train(
                 x[sel] = tasks[k].train_x[local[idx[sel]]]
             mixed_loss_and_grad(model, Batch(x, y[idx], task_of[idx]), descriptors, grad)
             apply_update(model, grad, hp.lr)
-            visits.update(ids[idx].tolist())
+            visits[done : done + len(idx)] = ids[idx]
+            done += len(idx)
     return model, visits

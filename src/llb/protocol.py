@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numbers
 import os
-from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -290,7 +289,8 @@ class RunTrace:
     memory_tensor: AccuracyTensor | None
     violations_by_task: list[tuple[int, int]] = field(default_factory=list)
     step_seconds_by_task: list[tuple[int, float]] = field(default_factory=list)
-    visit_counts: Counter = field(default_factory=Counter)
+    # the visit ledger: the sample id of every row trained on, in training order
+    visits: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 def run_single_pass(
@@ -317,7 +317,11 @@ def run_single_pass(
         AccuracyTensor(order=list(order))
         if log_accuracy and learner.state.memory is not None else None,
     )
-    tensor, visits = run.tensor, run.visit_counts
+    tensor = run.tensor
+    # the visit ledger, sized for a correct pass (minibatches yields each
+    # training row hp.epochs times) and cut to the visits made
+    run.visits = np.empty(hp.epochs * sum(len(t.train_y) for t in tasks), dtype=np.int64)
+    done = 0
     beta = hp.beta if log_accuracy else 0
 
     for k, task in enumerate(tasks):
@@ -333,7 +337,8 @@ def run_single_pass(
         try:
             for i, batch in enumerate(batches, 1):
                 learner.timed_step(batch)
-                visits.update(batch.ids.tolist())
+                run.visits[done : done + len(batch.ids)] = batch.ids
+                done += len(batch.ids)
                 if i <= beta:
                     record(
                         tensor, task.task_id, i, task.task_id,
@@ -359,7 +364,8 @@ def run_single_pass(
             (task.task_id, (learner.state.step_seconds - secs0) / max(steps, 1))
         )
 
-    audit_single_pass(visits, tasks, hp.epochs)
+    run.visits = run.visits[:done]
+    audit_single_pass(run.visits, tasks, hp.epochs)
     return learner.state, run
 
 
@@ -367,34 +373,71 @@ def run_single_pass(
 # audits
 
 
+class _Tally:
+    """A visit ledger sorted once, then counted against sample ids.
+
+    ``count(ids)`` returns how often the ledger holds each of ``ids``;
+    ``unlisted()`` returns the ledger's distinct ids that no count has
+    asked for, ascending, with how often it holds each.  Beyond the sorted
+    copy it keeps one byte per ledger entry; every other temporary is the
+    size of the ids counted.
+    """
+
+    def __init__(self, visits: np.ndarray):
+        self.seen = np.sort(visits)
+        # the first entry of each distinct id, until a count asks for it
+        self.unasked = np.ones(len(self.seen), dtype=bool)
+        np.not_equal(self.seen[1:], self.seen[:-1], out=self.unasked[1:])
+
+    def count(self, ids: np.ndarray) -> np.ndarray:
+        lo = np.searchsorted(self.seen, ids, "left")
+        n = np.searchsorted(self.seen, ids, "right") - lo
+        self.unasked[lo[n > 0]] = False
+        return n
+
+    def unlisted(self) -> tuple[np.ndarray, np.ndarray]:
+        ids = self.seen[self.unasked]
+        return ids, np.searchsorted(self.seen, ids, "right") - np.searchsorted(self.seen, ids)
+
+
 def audit_single_pass(
-    visit_counts: dict[int, int], tasks: list[TaskDataset], epochs: int = 1
+    visits: np.ndarray, tasks: list[TaskDataset], epochs: int = 1
 ) -> None:
-    """Every training example of the stream seen exactly ``epochs`` times."""
-    # a plain dict: dict equality, unlike a Counter's, tells a 0 count from a missing id
-    expected = {sid: epochs for t in tasks for sid in t.train_ids.tolist()}
-    if visit_counts != expected:
-        bad = {
-            k: (visit_counts.get(k, 0), expected.get(k))
-            for k in set(visit_counts) | set(expected)
-            if visit_counts.get(k, 0) != expected.get(k)
+    """Every training example of the stream seen exactly ``epochs`` times:
+    the ledger ``visits`` holds each id a task lists (once, however many
+    tasks list it) ``epochs`` times, and no other id."""
+    tally = _Tally(visits)
+    ids, seen = [], []
+    for t in tasks:
+        n = tally.count(t.train_ids)
+        ids.append(t.train_ids[n != epochs])
+        seen.append(n[n != epochs])
+    stray, stray_seen = tally.unlisted()
+    ids, seen = np.concatenate([stray, *ids]), np.concatenate([stray_seen, *seen])
+    if len(ids):
+        ids, at = np.unique(ids, return_index=True)     # an id two tasks list is one example
+        sample = {
+            int(i): (int(seen[j]), None if j < len(stray) else epochs)
+            for i, j in zip(ids[:5], at[:5])
         }
-        sample = dict(list(bad.items())[:5])
-        raise ProtocolError(f"single-pass audit failed for {len(bad)} example(s): {sample}")
+        raise ProtocolError(f"single-pass audit failed for {len(ids)} example(s): {sample}")
 
 
 def audit_isolation(
-    cv_tasks: list[TaskDataset], ev_tasks: list[TaskDataset], ev_visited: set[int]
+    cv_tasks: list[TaskDataset], ev_tasks: list[TaskDataset], ev_visited: np.ndarray
 ) -> None:
-    """CV and EV streams share no sample or task id, and the EV run visited
-    only EV examples (each CV run's own ``audit_single_pass`` checks its visits)."""
-    cv_ids = {int(i) for t in cv_tasks for i in t.train_ids}
-    ev_ids = {int(i) for t in ev_tasks for i in t.train_ids}
-    if cv_ids & ev_ids:
+    """CV and EV streams share no sample or task id, and the EV run's visit
+    ledger ``ev_visited`` holds only EV examples (each CV run's own
+    ``audit_single_pass`` checks its visits)."""
+    tally = _Tally(np.concatenate([np.empty(0, dtype=np.int64), *(t.train_ids for t in cv_tasks)]))
+    if any(tally.count(t.train_ids).any() for t in ev_tasks):
         raise ProtocolError("CV and EV streams share training sample ids")
     if {t.task_id for t in cv_tasks} & {t.task_id for t in ev_tasks}:
         raise ProtocolError("CV and EV streams share task ids")
-    if ev_visited - ev_ids:
+    tally = _Tally(ev_visited)      # replaces the CV ids' tally
+    for t in ev_tasks:
+        tally.count(t.train_ids)
+    if len(tally.unlisted()[0]):
         raise ProtocolError("EV phase visited examples outside the EV stream")
 
 
@@ -429,9 +472,9 @@ class CvResult:
 
 def _multitask_run(
     arch: nn.Architecture, tasks: list[TaskDataset], hp: HyperParams, seed: int
-) -> tuple[np.ndarray, Counter]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Train the multitask baseline from init, audit its single pass, and
-    return the per-task test accuracies and the visit counts."""
+    return the per-task test accuracies and the visit ledger."""
     model, visits = multitask_train(nn.init_model(arch, seed), tasks, hp, seed)
     audit_single_pass(visits, tasks, hp.epochs)
     return eval_all(model, tasks), visits
@@ -577,7 +620,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
 
     if base_name == "multitask":
         accs, visits = _multitask_run(arch, ev_tasks, hp, seed)
-        audit_isolation(cv_tasks, ev_tasks, set(visits))
+        audit_isolation(cv_tasks, ev_tasks, visits)
         report = MetricsReport(
             learner=config.learner, seed=seed, avg_accuracy=float(np.mean(accs)),
             lca_beta=hp.beta, param_count=arch.param_count, hyperparams=asdict(hp),
@@ -588,7 +631,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     learner = make_learner(base_name, model, hp, seed)
     audit_reset(learner, arch, seed)
     state, run = run_single_pass(learner, ev_tasks, hp, seed)
-    audit_isolation(cv_tasks, ev_tasks, set(run.visit_counts))
+    audit_isolation(cv_tasks, ev_tasks, run.visits)
     report = build_report(config.learner, seed, state, run, hp)
     return SeedResult(report, cv)
 

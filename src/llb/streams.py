@@ -82,9 +82,10 @@ class Rows:
 class TaskDataset:
     """One task's data: train/test splits, descriptor, global label set.
 
-    A task has at least one training row and one test row.  Plain input
-    arrays are wrapped as ``Rows`` over themselves.  Training row i's sample
-    id defaults to task_id * 2**32 + i, unique across tasks.
+    A task has at least one training row and one test row, and one sample
+    id per training row, no two alike.  Plain input arrays are wrapped as
+    ``Rows`` over themselves.  Training row i's sample id defaults to
+    task_id * 2**32 + i, unique across tasks.
     """
 
     task_id: int
@@ -108,6 +109,14 @@ class TaskDataset:
                 raise ConfigurationError(f"task {self.task_id} has no {split} row")
             if y.min() < 0 or y.max() >= len(self.label_set):
                 raise ConfigurationError("labels must index into label_set")
+        if len(self.train_ids) != len(self.train_y):
+            raise ConfigurationError(f"task {self.task_id} has {len(self.train_ids)} training "
+                                     f"sample ids for {len(self.train_y)} training rows")
+        ids = np.sort(self.train_ids)
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if len(repeated):
+            raise ConfigurationError(f"task {self.task_id} lists training sample id "
+                                     f"{repeated[0]} more than once")
 
     @property
     def num_classes(self) -> int:
@@ -329,7 +338,9 @@ def make_synthetic_split_stream(
     the T tasks partition distinct classes; with replacement a class may
     recur across tasks, in which case its training pool is split into
     disjoint shards across occurrences so no training example is ever seen
-    twice.
+    twice.  Each task's train and test inputs are allocated once and every
+    row is drawn straight into its place, so building the stream holds
+    each example once.
     """
     check_class_split(num_classes, classes_per_task, T, A, with_replacement, train_per_class)
 
@@ -359,43 +370,53 @@ def make_synthetic_split_stream(
             for i in range(T)
         ]
 
-    # Each class's training pool is drawn once and split into one disjoint
-    # shard per task that uses the class, handed out in task order.
+    # Each class's training pool of ``train_per_class`` rows is split into one
+    # disjoint shard per task that uses the class, sized as np.array_split
+    # sizes them and handed out in task order.  The shards are consecutive
+    # draws from the class's own generator, so together they are the pool.
     uses = Counter(int(c) for cs in task_classes for c in cs)
-    shards = {}
-    for c, m in uses.items():
-        crng = substream(seed, "class-pool", str(c))
-        x = class_means[c] + noise * crng.normal(size=(train_per_class, input_dim))
-        ids = c * 2**20 + np.arange(train_per_class, dtype=np.int64)
-        shards[c] = zip(np.array_split(x, m), np.array_split(ids, m))
+    pools = {c: substream(seed, "class-pool", str(c)) for c in uses}
+    handed = Counter()      # shards of each class's pool handed out so far
+
+    def fill(rng, c, out):
+        # class_means[c] + noise * z, each row written once in place
+        rng.standard_normal(out=out)
+        np.multiply(out, noise, out=out)
+        np.add(class_means[c], out, out=out)
 
     tasks = []
     for k in range(1, T + 1):
         classes = [int(c) for c in task_classes[k - 1]]
-        xs, ys, ids = [], [], []
-        for local, c in enumerate(classes):
-            x, shard_ids = next(shards[c])
-            xs.append(x)
-            ys.append(np.full(len(x), local, dtype=np.int64))
-            ids.append(shard_ids)
+        shards = []     # (class, first pool row, rows)
+        for c in classes:
+            each, extra = divmod(train_per_class, uses[c])
+            j = handed[c]
+            handed[c] += 1
+            shards.append((c, j * each + min(j, extra), each + (j < extra)))
+        train_x = np.empty((sum(n for _, _, n in shards), input_dim))
+        train_y = np.empty(len(train_x), dtype=np.int64)
+        train_ids = np.empty(len(train_x), dtype=np.int64)
+        lo = 0
+        for local, (c, start, n) in enumerate(shards):
+            fill(pools[c], c, train_x[lo : lo + n])
+            train_y[lo : lo + n] = local
+            train_ids[lo : lo + n] = c * 2**20 + np.arange(start, start + n)
+            lo += n
         trng = substream(seed, "task-test", str(k))
-        test_x = np.concatenate(
-            [
-                class_means[c] + noise * trng.normal(size=(test_per_class, input_dim))
-                for c in classes
-            ]
-        )
+        test_x = np.empty((len(classes) * test_per_class, input_dim))
+        for local, c in enumerate(classes):
+            fill(trng, c, test_x[local * test_per_class : (local + 1) * test_per_class])
         test_y = np.repeat(np.arange(len(classes), dtype=np.int64), test_per_class)
         tasks.append(
             TaskDataset(
                 task_id=k,
-                train_x=np.concatenate(xs),
-                train_y=np.concatenate(ys),
+                train_x=train_x,
+                train_y=train_y,
                 test_x=test_x,
                 test_y=test_y,
                 descriptor=attrs[classes],
                 label_set=tuple(classes),
-                train_ids=np.concatenate(ids),
+                train_ids=train_ids,
             )
         )
     return Continuum(
@@ -429,6 +450,11 @@ class Minibatches(Sequence):
         if isinstance(i, slice):
             return Minibatches(self.dataset, self.batch_rows[i])
         return self.dataset.batch(self.batch_rows[i])
+
+    def __iter__(self):
+        # not Sequence's iterator: it ends at the first IndexError, so one
+        # raised while gathering a batch would silently cut the pass short
+        return (self[i] for i in range(len(self)))
 
 
 def minibatches(dataset: TaskDataset, B: int, seed: int, epochs: int = 1) -> Minibatches:

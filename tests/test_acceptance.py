@@ -194,21 +194,19 @@ def test_10_protocol_hygiene(desk_runs):
     arch = arch_for_stream(continuum, (256, 256), False)
     hygiene = True
 
-    visits = {int(i): 1 for t in ev_tasks for i in t.train_ids}
+    visits = np.concatenate([t.train_ids for t in ev_tasks])
     audit_single_pass(visits, ev_tasks, 1)  # passes when complete
-    bad = dict(visits)
-    bad[next(iter(bad))] = 2
+    bad = np.append(visits, visits[0])
     try:
         audit_single_pass(bad, ev_tasks, 1)
         hygiene = False
     except ProtocolError:
         pass
 
-    cv_ids = {int(i) for t in cv_tasks for i in t.train_ids}
-    ev_ids = {int(i) for t in ev_tasks for i in t.train_ids}
-    hygiene &= not (cv_ids & ev_ids)
+    cv_ids = np.concatenate([t.train_ids for t in cv_tasks])
+    hygiene &= not np.intersect1d(cv_ids, visits).size
     try:
-        audit_isolation(cv_tasks, ev_tasks, ev_ids | {next(iter(cv_ids))})
+        audit_isolation(cv_tasks, ev_tasks, np.append(visits, cv_ids[0]))
         hygiene = False
     except ProtocolError:
         pass

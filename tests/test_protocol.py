@@ -45,6 +45,12 @@ def toy_stream(T=3, cv=1, n=30, dim=8, seed=0):
                                 train_per_task=n, test_per_task=20)
 
 
+def stream_ids(tasks):
+    """Every training sample id of the tasks, in task order: the ledger of a
+    correct single pass, up to order."""
+    return np.concatenate([t.train_ids for t in tasks])
+
+
 def toy_hp(**kw):
     defaults = dict(lr=0.05, memory_per_task=10, ref_batch_size=8, batch_size=10, beta=2)
     defaults.update(kw)
@@ -88,9 +94,37 @@ class TestRunSinglePass:
         hp = toy_hp()
         learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
         _, trace = run_single_pass(learner, ev, hp, 0)
-        expected = {int(i) for t in ev for i in t.train_ids}
-        assert set(trace.visit_counts) == expected
-        assert set(trace.visit_counts.values()) == {1}
+        assert trace.visits.dtype == np.int64
+        assert np.array_equal(np.sort(trace.visits), np.sort(stream_ids(ev)))
+
+    def test_ledger_and_audit_cost_a_few_int64_per_visit(self):
+        # 20 tasks of 1,000 rows; the inputs are tiny, so the run's growth in
+        # traced memory is its visit ledger (8 bytes a visit), the audit's
+        # sorted copy of it (8) and one-byte mark, and one task's batches
+        import tracemalloc
+
+        from llb.streams import TaskDataset
+
+        rng = np.random.default_rng(0)
+        tasks = [
+            TaskDataset(
+                task_id=k, train_x=rng.normal(size=(1000, 4)), train_y=rng.integers(0, 2, 1000),
+                test_x=rng.normal(size=(20, 4)), test_y=rng.integers(0, 2, 20),
+                descriptor=k, label_set=(0, 1),
+            )
+            for k in range(1, 21)
+        ]
+        arch = nn.mlp(4, (3,), [2] * 20, task_ids=list(range(1, 21)))
+        hp = toy_hp(batch_size=10)
+        learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        _, run = run_single_pass(learner, tasks, hp, 0, log_accuracy=False)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # a ledger of Python ints (a Counter and the audit's dict) takes over 100
+        assert peak - before <= 24 * 20_000
+        assert len(run.visits) == 20_000
 
     def test_numeric_failure_keeps_its_type_and_names_the_task(self):
         cont = toy_stream()
@@ -121,8 +155,7 @@ class TestRunSinglePass:
         hp = toy_hp(batch_size=3)
         learner = make_learner("vanilla", nn.init_model(arch, 0), hp, 0)
         _, trace = run_single_pass(learner, tasks, hp, 0)
-        assert len(trace.visit_counts) == 20
-        assert set(trace.visit_counts.values()) == {1}
+        assert len(trace.visits) == 20 and len(np.unique(trace.visits)) == 20
 
     def test_memory_tensor_recorded_for_memory_learners(self):
         cont = toy_stream()
@@ -197,33 +230,79 @@ class TestRunSinglePass:
 
 
 class TestAudits:
+    def test_single_pass_audit_passes_a_correct_ledger_in_any_order(self):
+        _, ev = split_cv_ev(toy_stream())
+        ledger = stream_ids(ev)
+        audit_single_pass(ledger, ev, 1)
+        audit_single_pass(np.random.default_rng(0).permutation(ledger), ev, 1)
+        audit_single_pass(np.concatenate([ledger[::-1], ledger]), ev, 2)
+
     def test_single_pass_audit_detects_missing_visit(self):
-        cont = toy_stream()
-        _, ev = split_cv_ev(cont)
-        visits = {int(i): 1 for t in ev for i in t.train_ids}
-        visits.pop(next(iter(visits)))
-        with pytest.raises(ProtocolError, match="single-pass"):
-            audit_single_pass(visits, ev, 1)
+        _, ev = split_cv_ev(toy_stream())
+        ledger = stream_ids(ev)
+        with pytest.raises(ProtocolError, match="single-pass") as err:
+            audit_single_pass(ledger[1:], ev, 1)
+        assert str(err.value).endswith(f"for 1 example(s): {{{ledger[0]}: (0, 1)}}")
 
     def test_single_pass_audit_of_an_empty_stream_passes(self):
-        audit_single_pass({}, [])
+        audit_single_pass(np.empty(0, dtype=np.int64), [])
 
     def test_single_pass_audit_detects_double_visit(self):
-        cont = toy_stream()
-        _, ev = split_cv_ev(cont)
-        visits = {int(i): 1 for t in ev for i in t.train_ids}
-        visits[next(iter(visits))] = 2
-        with pytest.raises(ProtocolError, match="single-pass"):
-            audit_single_pass(visits, ev, 1)
+        _, ev = split_cv_ev(toy_stream())
+        ledger = stream_ids(ev)
+        with pytest.raises(ProtocolError, match="single-pass") as err:
+            audit_single_pass(np.append(ledger, ledger[3]), ev, 1)
+        assert str(err.value).endswith(f"for 1 example(s): {{{ledger[3]}: (2, 1)}}")
+
+    def test_single_pass_audit_detects_an_id_in_no_task(self):
+        _, ev = split_cv_ev(toy_stream())
+        with pytest.raises(ProtocolError, match="single-pass") as err:
+            audit_single_pass(np.append(stream_ids(ev), 999), ev, 1)
+        assert str(err.value).endswith("for 1 example(s): {999: (1, None)}")
+
+    def test_single_pass_audit_expects_each_id_once_per_epoch(self):
+        _, ev = split_cv_ev(toy_stream())
+        ledger = stream_ids(ev)
+        with pytest.raises(ProtocolError, match="single-pass") as err:
+            audit_single_pass(np.concatenate([ledger, ledger[1:]]), ev, 2)
+        assert str(err.value).endswith(f"for 1 example(s): {{{ledger[0]}: (1, 2)}}")
+
+    def test_single_pass_audit_fails_an_id_two_tasks_list(self):
+        # each task's correct pass visits the shared id once, so the stream's
+        # one example with that id is seen twice
+        _, ev = split_cv_ev(toy_stream())
+        shared = ev[0].train_ids[0]
+        ev[1].train_ids = np.append(ev[1].train_ids[:-1], shared)
+        with pytest.raises(ProtocolError, match="single-pass") as err:
+            audit_single_pass(stream_ids(ev), ev, 1)
+        assert str(err.value).endswith(f"for 1 example(s): {{{shared}: (2, 1)}}")
+
+    def test_single_pass_audit_samples_at_most_five_ids_ascending(self):
+        _, ev = split_cv_ev(toy_stream())
+        ledger = np.sort(stream_ids(ev))
+        with pytest.raises(ProtocolError) as err:
+            audit_single_pass(np.concatenate([ledger[7:], [-3, -3]]), ev, 1)
+        sample = {-3: (2, None), **{int(i): (0, 1) for i in ledger[:4]}}
+        assert str(err.value) == f"single-pass audit failed for 8 example(s): {sample}"
 
     def test_isolation_audit_rejects_cross_reads(self):
         cont = toy_stream(T=4, cv=2)
         cv, ev = split_cv_ev(cont)
-        cv_ids = {int(i) for t in cv for i in t.train_ids}
-        ev_ids = {int(i) for t in ev for i in t.train_ids}
-        audit_isolation(cv, ev, ev_ids)
+        audit_isolation(cv, ev, stream_ids(ev))
         with pytest.raises(ProtocolError, match="EV phase"):
-            audit_isolation(cv, ev, ev_ids | {next(iter(cv_ids))})
+            audit_isolation(cv, ev, np.append(stream_ids(ev), cv[0].train_ids[0]))
+
+    def test_isolation_audit_rejects_shared_sample_ids(self):
+        cv, ev = split_cv_ev(toy_stream(T=4, cv=2))
+        ev[1].train_ids = np.append(ev[1].train_ids[:-1], cv[1].train_ids[5])
+        with pytest.raises(ProtocolError, match="share training sample ids"):
+            audit_isolation(cv, ev, stream_ids(ev))
+
+    def test_isolation_audit_rejects_shared_task_ids(self):
+        cv, ev = split_cv_ev(toy_stream(T=4, cv=2))
+        ev[0] = replace(ev[0], task_id=cv[1].task_id, train_ids=ev[0].train_ids)
+        with pytest.raises(ProtocolError, match="share task ids"):
+            audit_isolation(cv, ev, stream_ids(ev))
 
     def test_reset_audit(self):
         cont = toy_stream()

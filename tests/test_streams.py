@@ -432,6 +432,16 @@ class TestLazyMinibatches:
         with pytest.raises(IndexError):
             lazy[10]
 
+    def test_a_failed_gather_raises_rather_than_ending_the_pass(self):
+        # rows 5..9 point past the 5-row base; iterating must not stop quietly there
+        task = TaskDataset(
+            task_id=1, train_x=Rows(np.zeros((5, 3)), np.arange(10)),
+            train_y=np.zeros(10, dtype=np.int64), test_x=np.zeros((1, 3)),
+            test_y=np.zeros(1, dtype=np.int64), descriptor=1, label_set=(0,),
+        )
+        with pytest.raises(IndexError):
+            list(minibatches(task, 3, seed=0))
+
     def test_batches_are_gathered_on_access(self):
         import tracemalloc
 
@@ -477,3 +487,111 @@ class TestSyntheticBaseChunks:
         expected = one_shot_base(n_train, n_test, seed, dim)
         for got, want in zip((base.train_x, base.train_y, base.test_x, base.test_y), expected):
             assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def pooled_split_stream(num_classes, classes_per_task, T, A, with_replacement, seed,
+                        input_dim, train_per_class, test_per_class, noise):
+    """The split stream built the copying way: one pool per class drawn
+    whole, np.array_split shards, np.concatenate per task."""
+    rng = substream(seed, "split-stream")
+    while True:
+        attrs = rng.integers(0, 2, size=(num_classes, A)).astype(np.float64)
+        if len({tuple(row) for row in attrs}) == num_classes:
+            break
+    attr_to_input = rng.normal(0.0, 1.0 / np.sqrt(A), size=(A, input_dim))
+    class_means = attrs @ attr_to_input
+    if with_replacement:
+        task_classes = [np.sort(rng.choice(num_classes, size=classes_per_task, replace=False))
+                        for _ in range(T)]
+    else:
+        order = rng.permutation(num_classes)[: T * classes_per_task]
+        task_classes = [np.sort(order[i * classes_per_task : (i + 1) * classes_per_task])
+                        for i in range(T)]
+    uses = {}
+    for cs in task_classes:
+        for c in cs:
+            uses[int(c)] = uses.get(int(c), 0) + 1
+    shards = {}
+    for c, m in uses.items():
+        x = class_means[c] + noise * substream(seed, "class-pool", str(c)).normal(
+            size=(train_per_class, input_dim))
+        ids = c * 2**20 + np.arange(train_per_class, dtype=np.int64)
+        shards[c] = list(zip(np.array_split(x, m), np.array_split(ids, m)))
+    tasks = []
+    for k in range(1, T + 1):
+        classes = [int(c) for c in task_classes[k - 1]]
+        parts = [shards[c].pop(0) for c in classes]
+        trng = substream(seed, "task-test", str(k))
+        tasks.append({
+            "train_x": np.concatenate([x for x, _ in parts]),
+            "train_y": np.concatenate([np.full(len(x), j, dtype=np.int64)
+                                       for j, (x, _) in enumerate(parts)]),
+            "train_ids": np.concatenate([ids for _, ids in parts]),
+            "test_x": np.concatenate([class_means[c] + noise * trng.normal(
+                size=(test_per_class, input_dim)) for c in classes]),
+            "test_y": np.repeat(np.arange(len(classes), dtype=np.int64), test_per_class),
+            "descriptor": attrs[classes],
+            "label_set": tuple(classes),
+        })
+    return tasks, attrs, attr_to_input, class_means
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSplitStreamInPlace:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    def test_equals_the_pooled_construction(self, seed, with_replacement):
+        # with replacement, 7 classes recur over 6 tasks of 4, so pools of 10
+        # rows split over 3 or 4 uses whose sizes differ
+        kw = dict(num_classes=7 if with_replacement else 30, classes_per_task=4, T=6, A=8,
+                  with_replacement=with_replacement, seed=seed, input_dim=5,
+                  train_per_class=10, test_per_class=3, noise=0.5)
+        cont = make_synthetic_split_stream(cv_split=2, **kw)
+        tasks, attrs, attr_to_input, class_means = pooled_split_stream(**kw)
+        if with_replacement:
+            uses = np.bincount([c for t in tasks for c in t["label_set"]])
+            assert any(m > 1 and 10 % m for m in uses)
+        assert same_bits(cont.attribute_matrix, attrs)
+        assert same_bits(cont.attr_to_input, attr_to_input)
+        assert same_bits(cont.class_means, class_means)
+        assert len(cont.tasks) == len(tasks)
+        for task, want in zip(cont.tasks, tasks):
+            assert task.label_set == want["label_set"]
+            for name in ("train_x", "train_y", "train_ids", "test_x", "test_y", "descriptor"):
+                assert same_bits(getattr(task, name), want[name]), name
+
+    def test_build_holds_each_row_once(self):
+        import tracemalloc
+
+        from llb.protocol import build_stream
+
+        tracemalloc.start()
+        cont = build_stream({"kind": "synthetic-split", "tasks": 13, "num_classes": 80}, 0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        held = sum(a.nbytes for t in cont.tasks for a in (
+            t.train_x.base, t.train_x.rows, t.train_y, t.train_ids,
+            t.test_x.base, t.test_x.rows, t.test_y, t.descriptor))
+        # a per-class pool beside each task's copy of it would peak near 1.7x
+        assert peak <= 1.2 * held
+
+    def test_task_with_one_id_too_few_rejected(self):
+        with pytest.raises(ConfigurationError, match="task 2 has 4 training sample ids for 5"):
+            TaskDataset(
+                task_id=2, train_x=np.zeros((5, 4)), train_y=np.zeros(5, np.int64),
+                test_x=np.zeros((2, 4)), test_y=np.zeros(2, np.int64), descriptor=2,
+                label_set=(0,), train_ids=np.arange(4),
+            )
+
+    def test_task_with_a_repeated_sample_id_rejected(self):
+        n = 12
+        with pytest.raises(ConfigurationError, match="task 3 lists training sample id 7"):
+            TaskDataset(
+                task_id=3, train_x=np.zeros((n, 4)), train_y=np.zeros(n, np.int64),
+                test_x=np.zeros((2, 4)), test_y=np.zeros(2, np.int64), descriptor=3,
+                label_set=(0,), train_ids=np.array([7, 7, *range(n - 3), 7]),
+            )
