@@ -76,13 +76,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def run_config_seeds(config: ExperimentConfig, jobs: int = 1) -> list[SeedResult]:
-    """Each seed's result, in seed order; with ``jobs`` > 1 the seeds run in
-    worker processes, never more workers than seeds."""
-    workers = min(jobs, len(config.seeds))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_seed, [config] * len(config.seeds), config.seeds))
-    return [run_seed(config, seed) for seed in config.seeds]
+    """Each seed's result, in seed order.  With ``jobs`` > 1 the seeds run in
+    worker processes, never more workers than seeds.  Each seed's selection
+    trains its grid candidates side by side on the cores the seed workers
+    leave, one BLAS thread per candidate worker (see
+    ``protocol.cross_validate``); where no core is left over, it trains
+    them in-process."""
+    seed_workers = min(jobs, len(config.seeds))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, (cores or 1) // seed_workers)
+    if seed_workers > 1:
+        n = len(config.seeds)
+        with ProcessPoolExecutor(max_workers=seed_workers) as pool:
+            return list(pool.map(run_seed, [config] * n, config.seeds, [workers] * n))
+    return [run_seed(config, seed, workers) for seed in config.seeds]
 
 
 # ---------------------------------------------------------------------------

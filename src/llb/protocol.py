@@ -14,15 +14,20 @@ reset is complete.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import multiprocessing
 import numbers
 import os
+import traceback
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import nn
 from .embedding import je_predict
-from .errors import ConfigurationError, NumericError, ProtocolError
+from .errors import ConfigurationError, LlbError, NumericError, ProtocolError
 from .learners import LEARNER_NAMES, Learner, LearnerState, make_learner, multitask_train
 from .metrics import (
     AccuracyTensor,
@@ -480,12 +485,113 @@ def _multitask_run(
     return eval_all(model, tasks), visits
 
 
+# the bundled OpenBLAS's setter of its thread count
+BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+
+
+@functools.cache
+def openblas(symbol: str):
+    """The function ``symbol`` of the OpenBLAS that numpy's wheel bundles,
+    or None when there is no such library or it lacks the symbol."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        fn = getattr(ctypes.CDLL(path), symbol, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def fork_available() -> bool:
+    """Whether selection can train candidates in forked workers at one BLAS
+    thread: the ``fork`` start method exists and OpenBLAS's thread setter
+    is found."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and openblas(BLAS_SET_THREADS) is not None)
+
+
+def _score(base: str, cv_tasks: list[TaskDataset], arch: nn.Architecture,
+           hp: HyperParams, seed: int) -> float | None:
+    """One candidate's mean final accuracy over the CV tasks, after a
+    trained and audited run; None when its training or final evaluation
+    raised NumericError."""
+    try:
+        if base == "multitask":
+            accs = _multitask_run(arch, cv_tasks, hp, seed)[0]
+        else:
+            learner = make_learner(base, nn.init_model(arch, seed), hp, seed)
+            run_single_pass(learner, cv_tasks, hp, seed, log_accuracy=False)
+            accs = eval_all(learner.model, cv_tasks)
+    except NumericError:
+        return None
+    return float(np.mean(accs))
+
+
+def _score_share(conn, share: range, base: str, cv_tasks: list[TaskDataset],
+                 arch: nn.Architecture, grid: list[HyperParams], seed: int) -> None:
+    """A selection worker: at one BLAS thread, send ``(index, score)`` for
+    each grid index of ``share``; an exception is sent in place of the next
+    score, as ``(None, (exc, its formatted traceback))``."""
+    try:
+        set_threads = openblas(BLAS_SET_THREADS)
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        set_threads(1)
+        for i in share:
+            conn.send((i, _score(base, cv_tasks, arch, grid[i], seed)))
+    except Exception as exc:
+        conn.send((None, (exc, traceback.format_exc())))
+    finally:
+        conn.close()
+
+
+def _score_forked(base: str, cv_tasks: list[TaskDataset], arch: nn.Architecture,
+                  grid: list[HyperParams], seed: int, workers: int) -> list[float | None]:
+    """Each candidate's score, in grid order, from ``workers`` forked
+    processes that take the grid round-robin.  The CV tasks reach them
+    through the fork, never pickled.  A worker's exception is raised here,
+    caused by its traceback in the worker; a worker that exits before it
+    has answered raises LlbError.  Every worker is joined on every path."""
+    ctx = multiprocessing.get_context("fork")
+    scores: list[float | None] = [None] * len(grid)
+    running = []
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            share = range(w, len(grid), workers)
+            proc = ctx.Process(target=_score_share,
+                               args=(send, share, base, cv_tasks, arch, grid, seed))
+            proc.start()
+            send.close()    # the worker holds the only writing end: its exit ends the pipe
+            running.append((proc, recv, share))
+        for proc, recv, share in running:
+            for _ in share:
+                try:
+                    i, answer = recv.recv()
+                except EOFError:
+                    proc.join()
+                    raise LlbError(f"a selection worker exited with code {proc.exitcode} "
+                                   "before it scored its candidates") from None
+                if i is None:
+                    exc, trace = answer
+                    raise exc from Exception(f"in a selection worker:\n{trace}")
+                scores[i] = answer
+    except BaseException:
+        for proc, _, _ in running:
+            proc.kill()
+        raise
+    finally:
+        for proc, recv, _ in running:
+            proc.join()
+            recv.close()
+    return scores
+
+
 def cross_validate(
     learner_name: str,
     cv_tasks: list[TaskDataset],
     arch: nn.Architecture,
     grid: list[HyperParams],
     seed: int,
+    workers: int = 1,
 ) -> CvResult:
     """Train each candidate on the CV stream; the best score wins.
 
@@ -497,22 +603,24 @@ def cross_validate(
     final evaluation raises NumericError scores ``None``; a failed audit of
     a CV run raises its own ``ProtocolError``, and so does a grid whose
     every candidate failed.
+
+    With ``workers`` > 1 the candidates train side by side in
+    ``min(len(grid), workers)`` forked processes, each at one BLAS thread,
+    each with its own model and memory and the CV tasks shared copy-on-write
+    (see ``_score_forked``).  One BLAS thread can move the weights at
+    round-off; no score of the shipped or benchmark configs moved.
+    Selection stays in-process, at the caller's BLAS threads, with one
+    worker and wherever ``fork_available`` is false.
     """
     if not grid:
         raise ConfigurationError("empty hyper-parameter grid")
     base, _ = parse_learner(learner_name)
-    candidates: list[CvCandidate] = []
-    for hp in grid:
-        try:
-            if base == "multitask":
-                accs = _multitask_run(arch, cv_tasks, hp, seed)[0]
-            else:
-                learner = make_learner(base, nn.init_model(arch, seed), hp, seed)
-                run_single_pass(learner, cv_tasks, hp, seed, log_accuracy=False)
-                accs = eval_all(learner.model, cv_tasks)
-            candidates.append(CvCandidate(hp, float(np.mean(accs))))
-        except NumericError:
-            candidates.append(CvCandidate(hp, None))
+    workers = min(len(grid), workers)
+    if workers > 1 and fork_available():
+        scores = _score_forked(base, cv_tasks, arch, grid, seed, workers)
+    else:
+        scores = [_score(base, cv_tasks, arch, hp, seed) for hp in grid]
+    candidates = [CvCandidate(hp, score) for hp, score in zip(grid, scores)]
     scored = [c for c in candidates if c.accuracy is not None]
     if not scored:
         raise ProtocolError("every hyper-parameter candidate failed numerically")
@@ -607,15 +715,17 @@ class SeedResult:
     cv: CvResult
 
 
-def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
-    """Full protocol for one seed: CV selection, reset, single-pass EV run."""
+def run_seed(config: ExperimentConfig, seed: int, workers: int = 1) -> SeedResult:
+    """Full protocol for one seed: CV selection, reset, single-pass EV run.
+    Selection trains its candidates on up to ``workers`` processes
+    (see ``cross_validate``)."""
     base_name, je = parse_learner(config.learner)
     continuum = build_stream(config.stream, seed)
     arch = arch_for_stream(continuum, config.hidden, je)
     cv_tasks, ev_tasks = split_cv_ev(continuum)
     grid = expand_grid(config.base, config.grid)
 
-    cv = cross_validate(config.learner, cv_tasks, arch, grid, seed)
+    cv = cross_validate(config.learner, cv_tasks, arch, grid, seed, workers)
     hp = replace(cv.best, epochs=config.study_epochs)    # the EV run's one pass count
 
     if base_name == "multitask":

@@ -82,10 +82,10 @@ class Rows:
 class TaskDataset:
     """One task's data: train/test splits, descriptor, global label set.
 
-    A task has at least one training row and one test row, and one sample
-    id per training row, no two alike.  Plain input arrays are wrapped as
-    ``Rows`` over themselves.  Training row i's sample id defaults to
-    task_id * 2**32 + i, unique across tasks.
+    A task has at least one training row and one test row, one label per
+    row, and one sample id per training row, no two alike.  Plain input
+    arrays are wrapped as ``Rows`` over themselves.  Training row i's
+    sample id defaults to task_id * 2**32 + i, unique across tasks.
     """
 
     task_id: int
@@ -104,9 +104,13 @@ class TaskDataset:
             self.test_x = Rows(self.test_x)
         if self.train_ids is None:
             self.train_ids = self.task_id * 2**32 + np.arange(len(self.train_y), dtype=np.int64)
-        for split, y in (("training", self.train_y), ("test", self.test_y)):
+        for split, x, y in (("training", self.train_x, self.train_y),
+                            ("test", self.test_x, self.test_y)):
             if len(y) == 0:
                 raise ConfigurationError(f"task {self.task_id} has no {split} row")
+            if len(x) != len(y):
+                raise ConfigurationError(f"task {self.task_id} has {len(x)} {split} rows "
+                                         f"for {len(y)} {split} labels")
             if y.min() < 0 or y.max() >= len(self.label_set):
                 raise ConfigurationError("labels must index into label_set")
         if len(self.train_ids) != len(self.train_y):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from llb import cli
+from llb import cli, protocol
 from llb.cli import (
     CURVE_HEADER,
     FLAT_HEADER,
@@ -41,6 +41,33 @@ def metric_content(report):
     if isinstance(report, list):
         return [metric_content(v) for v in report]
     return report
+
+
+def jobs_outputs(monkeypatch, tmp_path, argv, lrs) -> dict:
+    """``argv`` on the toy config with an ``lr`` grid of ``lrs``, run with
+    ``--jobs 2`` and ``--jobs 1`` on two usable cores: jobs -> (report.json,
+    the bytes of cv_table.csv), checked to hold the same content.  With
+    ``--jobs 1`` selection fans a grid of two or more out to workers; with
+    ``--jobs 2`` over two seeds no core is left, and it scores in-process."""
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({**TOY, "grid": {"lr": lrs}}))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked, score_forked = [], protocol._score_forked
+    monkeypatch.setattr(protocol, "_score_forked",
+                        lambda *args: forked.append(args[-1]) or score_forked(*args))
+    outs = {}
+    for jobs in (2, 1):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([*argv, "--config", str(config), "--jobs", str(jobs), "--out", str(out)]) == 0
+        outs[jobs] = (json.loads((out / "report.json").read_text()),
+                      (out / "cv_table.csv").read_bytes())
+    # the same content whether seeds or candidates run in workers or in-process
+    assert metric_content(outs[2][0]) == metric_content(outs[1][0])
+    assert outs[2][1] == outs[1][1]
+    # seed workers' calls are not seen here; every in-process seed's are
+    fanned = len(lrs) > 1 and protocol.fork_available()
+    assert forked == [2] * len(outs[1][0]["reports"]) * fanned
+    return outs
 
 
 @pytest.fixture
@@ -109,16 +136,13 @@ class TestRunCommand:
                          "--out", str(tmp_path / f"j{jobs}")]) == 0
         assert sizes == [2, 2]
 
-    def test_parallel_jobs(self, toy_config, tmp_path, capsys):
-        reports = {}
-        for jobs in (2, 1):
-            out = str(tmp_path / f"jobs{jobs}")
-            assert main(["run", "--config", toy_config, "--seeds", "0,1",
-                         "--jobs", str(jobs), "--out", out]) == 0
-            reports[jobs] = json.load(open(os.path.join(out, "report.json")))
-        assert [r["seed"] for r in reports[2]["reports"]] == [0, 1]
-        # the same metric content whether seeds run in workers or in-process
-        assert metric_content(reports[2]) == metric_content(reports[1])
+    def test_parallel_jobs(self, tmp_path, capsys, monkeypatch):
+        outs = jobs_outputs(monkeypatch, tmp_path, ["run", "--seeds", "0,1"], [0.05])
+        assert [r["seed"] for r in outs[2][0]["reports"]] == [0, 1]
+
+    def test_parallel_jobs_with_a_grid(self, tmp_path, capsys, monkeypatch):
+        outs = jobs_outputs(monkeypatch, tmp_path, ["run", "--seeds", "0,1"], [0.1, 0.05])
+        assert outs[1][1].count(b"\n") == 1 + 2 * 2      # header, 2 seeds x 2 candidates
 
     def test_unknown_learner_exit_2_lists_valid(self, toy_config, tmp_path, capsys):
         code = main(["run", "--config", toy_config, "--learner", "bogus",
@@ -350,6 +374,8 @@ def two_task_toy(tmp_path) -> str:
 
 
 class TestCompareAndGrid:
+    TWO_LEARNERS = ("--learners", "vanilla,agem", "--seeds", "0,1")
+
     def test_compare_csv_one_row_per_learner_per_seed(self, toy_config, tmp_path, capsys):
         out = str(tmp_path / "cmp")
         code = main(["compare", "--config", toy_config, "--learners",
@@ -390,15 +416,13 @@ class TestCompareAndGrid:
             hashes.add(json.load(open(os.path.join(out, "report.json")))["config_hash"])
         assert len(hashes) == 2
 
-    def test_compare_parallel_jobs(self, toy_config, tmp_path, capsys):
-        reports = {}
-        for jobs in (2, 1):
-            out = str(tmp_path / f"jobs{jobs}")
-            assert main(["compare", "--config", toy_config, "--learners", "vanilla,agem",
-                         "--seeds", "0,1", "--jobs", str(jobs), "--out", out]) == 0
-            reports[jobs] = json.load(open(os.path.join(out, "report.json")))
-        assert sorted(reports[2]["aggregate"]) == ["agem", "vanilla"]
-        assert metric_content(reports[2]) == metric_content(reports[1])
+    def test_compare_parallel_jobs(self, tmp_path, capsys, monkeypatch):
+        outs = jobs_outputs(monkeypatch, tmp_path, ["compare", *self.TWO_LEARNERS], [0.05])
+        assert sorted(outs[2][0]["aggregate"]) == ["agem", "vanilla"]
+
+    def test_compare_parallel_jobs_with_a_grid(self, tmp_path, capsys, monkeypatch):
+        outs = jobs_outputs(monkeypatch, tmp_path, ["compare", *self.TWO_LEARNERS], [0.1, 0.05])
+        assert outs[1][1].count(b"\n") == 1 + 2 * 2 * 2     # header, 2 learners x 2 seeds x 2
 
     @pytest.mark.parametrize("command", ["compare", "grid"])
     def test_learner_flag_removed(self, command, toy_config, tmp_path, capsys):

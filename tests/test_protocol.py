@@ -1,8 +1,12 @@
+import contextlib
 import inspect
 import json
+import multiprocessing
 import os
 import re
+import signal
 import struct
+import time
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -10,7 +14,7 @@ import pytest
 
 from llb import nn, protocol
 from llb.cli import config_from_dict
-from llb.errors import ConfigurationError, NumericError, ProtocolError
+from llb.errors import ConfigurationError, LlbError, NumericError, ProtocolError
 from llb.learners import LearnerState, make_learner, multitask_train
 from llb.metrics import AccuracyTensor, avg_accuracy
 from llb.protocol import (
@@ -490,6 +494,82 @@ class TestCrossValidate:
         assert calls == [len(cv), len(cv)]
         assert [c.accuracy is None for c in result.candidates] == [True, False]
         assert result.best == b
+
+    # the forked path: candidates scored side by side in worker processes
+
+    @pytest.mark.parametrize("learner", ["vanilla", "agem", "gem", "agem-je", "multitask"])
+    def test_workers_select_as_in_process(self, learner):
+        cv, arch = self.cv_setup(learner)
+        grid = [toy_hp(lr=lr) for lr in (0.1, 0.05, 0.01)]
+        forked = cross_validate(learner, cv, arch, grid, seed=0, workers=2)
+        assert forked == cross_validate(learner, cv, arch, grid, seed=0, workers=1)
+        assert [c.hp for c in forked.candidates] == grid
+
+    def test_divergence_inside_a_worker_scores_none(self):
+        cv, arch = self.cv_setup("vanilla")
+        grid = [toy_hp(lr=0.05), toy_hp(lr=1e200), toy_hp(lr=0.01)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = cross_validate("vanilla", cv, arch, grid, seed=0, workers=2)
+            assert result == cross_validate("vanilla", cv, arch, grid, seed=0, workers=1)
+        assert [c.accuracy is None for c in result.candidates] == [False, True, False]
+
+    @staticmethod
+    @contextlib.contextmanager
+    def bounded(seconds):
+        """Raise TimeoutError in the test after ``seconds`` (a fork clears the alarm)."""
+        def expired(signum, frame):
+            raise TimeoutError(f"selection still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_a_worker_exception_keeps_its_type_and_message(self, monkeypatch):
+        cv, arch = self.cv_setup("vanilla")
+
+        def audit_fails(learner, tasks, hp, seed, **kwargs):
+            if hp.lr == 0.05:
+                raise ProtocolError("single-pass audit failed for 1 example(s): {7: (2, 1)}")
+            time.sleep(600)     # the other worker is stopped, not waited for
+
+        monkeypatch.setattr(protocol, "run_single_pass", audit_fails)
+        with self.bounded(30), pytest.raises(ProtocolError, match=re.escape("{7: (2, 1)}")):
+            cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
+                           seed=0, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises_naming_its_exit_code(self, monkeypatch):
+        cv, arch = self.cv_setup("vanilla")
+        parent = os.getpid()
+
+        def die(base, cv_tasks, arch, hp, seed):
+            if os.getpid() == parent:
+                pytest.fail("scored in-process")
+            if hp.lr == 0.01:       # the last worker's candidate
+                os._exit(3)
+            return 0.5
+
+        monkeypatch.setattr(protocol, "_score", die)
+        with self.bounded(30), pytest.raises(LlbError, match="exited with code 3"):
+            cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
+                           seed=0, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_runs_one_blas_thread_and_the_parent_keeps_its_own(self, monkeypatch):
+        get = protocol.openblas("scipy_openblas_get_num_threads64_")
+        if get is None or protocol.openblas(protocol.BLAS_SET_THREADS) is None:
+            pytest.skip("numpy's bundled OpenBLAS thread getter or setter is not available")
+        cv, arch = self.cv_setup("vanilla")
+        before = get()
+        monkeypatch.setattr(protocol, "_score", lambda *args: float(get()))
+        result = cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
+                                seed=0, workers=2)
+        assert [c.accuracy for c in result.candidates] == [1.0, 1.0]
+        assert get() == before
 
 
 def write_mnist_idx(directory, names=IDX_FILES):

@@ -404,6 +404,19 @@ class TestLazyRows:
                 descriptor=1, label_set=(0,),
             )
 
+    @pytest.mark.parametrize("split, train, test", [
+        ("training", (5, 10), (3, 3)), ("test", (3, 3), (2, 4)),
+    ])
+    def test_task_with_rows_unequal_to_labels_rejected(self, split, train, test):
+        rows, labels = train if split == "training" else test
+        with pytest.raises(ConfigurationError,
+                           match=f"task 1 has {rows} {split} rows for {labels} {split} labels"):
+            TaskDataset(
+                task_id=1, train_x=np.zeros((train[0], 4)), train_y=np.zeros(train[1], np.int64),
+                test_x=np.zeros((test[0], 4)), test_y=np.zeros(test[1], np.int64),
+                descriptor=1, label_set=(0,),
+            )
+
 
 class TestLazyMinibatches:
     def make_task(self, n=23, dim=6, seed=1):
