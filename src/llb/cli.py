@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, fields, replace
 
 from .errors import LlbError
@@ -26,6 +26,7 @@ from .protocol import (
     HyperParams,
     SeedResult,
     aggregate_reports,
+    fork_map,
     parse_learner,
     run_seed,
 )
@@ -76,20 +77,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def run_config_seeds(config: ExperimentConfig, jobs: int = 1) -> list[SeedResult]:
-    """Each seed's result, in seed order.  With ``jobs`` > 1 the seeds run in
-    worker processes, never more workers than seeds.  Each seed's selection
-    trains its grid candidates side by side on the cores the seed workers
-    leave, one BLAS thread per candidate worker (see
-    ``protocol.cross_validate``); where no core is left over, it trains
-    them in-process."""
+    """Each seed's result, in seed order, from up to ``jobs`` processes of
+    ``protocol.fork_map`` (never more than seeds), which keep the caller's
+    BLAS threads, so results do not depend on ``jobs``.  Each seed's
+    selection trains its grid candidates side by side on the cores the seed
+    workers leave, at one BLAS thread each (see ``protocol.cross_validate``)."""
     seed_workers = min(jobs, len(config.seeds))
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, (cores or 1) // seed_workers)
-    if seed_workers > 1:
-        n = len(config.seeds)
-        with ProcessPoolExecutor(max_workers=seed_workers) as pool:
-            return list(pool.map(run_seed, [config] * n, config.seeds, [workers] * n))
-    return [run_seed(config, seed, workers) for seed in config.seeds]
+    # run_seed is looked up here, so a wrapper set on this module is what the workers run
+    return fork_map(functools.partial(run_seed, config, workers=workers), config.seeds,
+                    seed_workers)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import multiprocessing
+import multiprocessing.connection
 import numbers
 import os
 import traceback
@@ -501,14 +501,6 @@ def openblas(symbol: str):
     return None
 
 
-def fork_available() -> bool:
-    """Whether selection can train candidates in forked workers at one BLAS
-    thread: the ``fork`` start method exists and OpenBLAS's thread setter
-    is found."""
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and openblas(BLAS_SET_THREADS) is not None)
-
-
 def _score(base: str, cv_tasks: list[TaskDataset], arch: nn.Architecture,
            hp: HyperParams, seed: int) -> float | None:
     """One candidate's mean final accuracy over the CV tasks, after a
@@ -526,63 +518,64 @@ def _score(base: str, cv_tasks: list[TaskDataset], arch: nn.Architecture,
     return float(np.mean(accs))
 
 
-def _score_share(conn, share: range, base: str, cv_tasks: list[TaskDataset],
-                 arch: nn.Architecture, grid: list[HyperParams], seed: int) -> None:
-    """A selection worker: at one BLAS thread, send ``(index, score)`` for
-    each grid index of ``share``; an exception is sent in place of the next
-    score, as ``(None, (exc, its formatted traceback))``."""
+def _map_share(conn, fn, items: list, share: range) -> None:
+    """A worker of ``fork_map``: send ``(index, fn(item))`` for each index of
+    ``share``, or ``(None, (exception, its traceback))`` in its place."""
     try:
-        set_threads = openblas(BLAS_SET_THREADS)
-        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-        set_threads(1)
         for i in share:
-            conn.send((i, _score(base, cv_tasks, arch, grid[i], seed)))
+            conn.send((i, fn(items[i])))
     except Exception as exc:
         conn.send((None, (exc, traceback.format_exc())))
     finally:
         conn.close()
 
 
-def _score_forked(base: str, cv_tasks: list[TaskDataset], arch: nn.Architecture,
-                  grid: list[HyperParams], seed: int, workers: int) -> list[float | None]:
-    """Each candidate's score, in grid order, from ``workers`` forked
-    processes that take the grid round-robin.  The CV tasks reach them
-    through the fork, never pickled.  A worker's exception is raised here,
-    caused by its traceback in the worker; a worker that exits before it
-    has answered raises LlbError.  Every worker is joined on every path."""
+def fork_map(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]`` from up to ``workers`` forked
+    processes that take the items round-robin, ``fn`` and the items reaching
+    them through the fork, never pickled.  Each worker answers through its
+    own pipe, read as it comes.  A worker's exception is raised here, caused
+    by its traceback in the worker; a worker that exits before it has
+    answered raises LlbError naming its exit code.  On any failure every
+    worker is killed; every worker is joined on every path.  With one
+    worker, or without the ``fork`` start method, ``fn`` runs in-process."""
+    workers = min(workers, len(items))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
-    scores: list[float | None] = [None] * len(grid)
-    running = []
+    results = [None] * len(items)
+    owed = {}       # a worker's pipe -> [the worker, results it still owes]
     try:
         for w in range(workers):
             recv, send = ctx.Pipe(duplex=False)
-            share = range(w, len(grid), workers)
-            proc = ctx.Process(target=_score_share,
-                               args=(send, share, base, cv_tasks, arch, grid, seed))
+            share = range(w, len(items), workers)
+            proc = ctx.Process(target=_map_share, args=(send, fn, items, share))
             proc.start()
             send.close()    # the worker holds the only writing end: its exit ends the pipe
-            running.append((proc, recv, share))
-        for proc, recv, share in running:
-            for _ in share:
+            owed[recv] = [proc, len(share)]
+        while pending := [recv for recv, (_, left) in owed.items() if left]:
+            for recv in multiprocessing.connection.wait(pending):
+                proc = owed[recv][0]
                 try:
                     i, answer = recv.recv()
                 except EOFError:
                     proc.join()
-                    raise LlbError(f"a selection worker exited with code {proc.exitcode} "
-                                   "before it scored its candidates") from None
+                    raise LlbError(f"a worker process exited with code {proc.exitcode} "
+                                   "before it answered") from None
                 if i is None:
                     exc, trace = answer
-                    raise exc from Exception(f"in a selection worker:\n{trace}")
-                scores[i] = answer
+                    raise exc from Exception(f"in a worker process:\n{trace}")
+                results[i] = answer
+                owed[recv][1] -= 1
     except BaseException:
-        for proc, _, _ in running:
+        for proc, _ in owed.values():
             proc.kill()
         raise
     finally:
-        for proc, recv, _ in running:
+        for recv, (proc, _) in owed.items():
             proc.join()
             recv.close()
-    return scores
+    return results
 
 
 def cross_validate(
@@ -604,22 +597,29 @@ def cross_validate(
     a CV run raises its own ``ProtocolError``, and so does a grid whose
     every candidate failed.
 
-    With ``workers`` > 1 the candidates train side by side in
-    ``min(len(grid), workers)`` forked processes, each at one BLAS thread,
-    each with its own model and memory and the CV tasks shared copy-on-write
-    (see ``_score_forked``).  One BLAS thread can move the weights at
-    round-off; no score of the shipped or benchmark configs moved.
-    Selection stays in-process, at the caller's BLAS threads, with one
-    worker and wherever ``fork_available`` is false.
+    With ``workers`` > 1 the candidates train side by side in up to
+    ``workers`` processes of ``fork_map``, each at one BLAS thread, each
+    with its own model and memory and the CV tasks shared copy-on-write.
+    One BLAS thread can move the weights at round-off; no score of the
+    shipped or benchmark configs moved.  Selection stays in-process, at the
+    caller's BLAS threads, with one worker, where the ``fork`` start method
+    is missing, and where numpy's bundled OpenBLAS has no thread setter.
     """
     if not grid:
         raise ConfigurationError("empty hyper-parameter grid")
     base, _ = parse_learner(learner_name)
-    workers = min(len(grid), workers)
-    if workers > 1 and fork_available():
-        scores = _score_forked(base, cv_tasks, arch, grid, seed, workers)
-    else:
-        scores = [_score(base, cv_tasks, arch, hp, seed) for hp in grid]
+    caller = os.getpid()
+
+    def score_candidate(hp: HyperParams) -> float | None:   # what selection hands its workers
+        if os.getpid() != caller:                           # a forked worker: one BLAS thread
+            set_threads = openblas(BLAS_SET_THREADS)
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            set_threads(1)
+        return _score(base, cv_tasks, arch, hp, seed)
+
+    if openblas(BLAS_SET_THREADS) is None:
+        workers = 1
+    scores = fork_map(score_candidate, grid, workers)
     candidates = [CvCandidate(hp, score) for hp, score in zip(grid, scores)]
     scored = [c for c in candidates if c.accuracy is not None]
     if not scored:

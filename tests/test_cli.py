@@ -1,6 +1,8 @@
 import csv
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from llb.cli import (
     emit_report,
     main,
 )
+from llb.errors import ProtocolError
 from llb.protocol import aggregate_reports, run_seed
 
 
@@ -43,6 +46,21 @@ def metric_content(report):
     return report
 
 
+def record_workers(monkeypatch) -> list[int]:
+    """Wrap the one worker pool, ``fork_map``, to record how many workers
+    each call runs on (no more than its items); a call made inside a forked
+    worker is recorded in that worker's copy and not seen here."""
+    started, fork_map = [], protocol.fork_map
+
+    def recorder(fn, items, workers):
+        started.append(min(workers, len(items)))
+        return fork_map(fn, items, workers)
+
+    monkeypatch.setattr(protocol, "fork_map", recorder)
+    monkeypatch.setattr(cli, "fork_map", recorder)
+    return started
+
+
 def jobs_outputs(monkeypatch, tmp_path, argv, lrs) -> dict:
     """``argv`` on the toy config with an ``lr`` grid of ``lrs``, run with
     ``--jobs 2`` and ``--jobs 1`` on two usable cores: jobs -> (report.json,
@@ -52,9 +70,7 @@ def jobs_outputs(monkeypatch, tmp_path, argv, lrs) -> dict:
     config = tmp_path / "toy.json"
     config.write_text(json.dumps({**TOY, "grid": {"lr": lrs}}))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    forked, score_forked = [], protocol._score_forked
-    monkeypatch.setattr(protocol, "_score_forked",
-                        lambda *args: forked.append(args[-1]) or score_forked(*args))
+    started = record_workers(monkeypatch)
     outs = {}
     for jobs in (2, 1):
         out = tmp_path / f"jobs{jobs}"
@@ -64,9 +80,12 @@ def jobs_outputs(monkeypatch, tmp_path, argv, lrs) -> dict:
     # the same content whether seeds or candidates run in workers or in-process
     assert metric_content(outs[2][0]) == metric_content(outs[1][0])
     assert outs[2][1] == outs[1][1]
-    # seed workers' calls are not seen here; every in-process seed's are
-    fanned = len(lrs) > 1 and protocol.fork_available()
-    assert forked == [2] * len(outs[1][0]["reports"]) * fanned
+    # per learner: --jobs 2 runs its two seeds on two workers, whose selections
+    # are not seen here; --jobs 1 runs them in-process, each selection on up
+    # to two candidate workers
+    learners = len(outs[1][0]["config"])
+    candidates = min(2, len(lrs)) if protocol.openblas(protocol.BLAS_SET_THREADS) else 1
+    assert started == [2] * learners + [1, candidates, candidates] * learners
     return outs
 
 
@@ -114,27 +133,55 @@ class TestRunCommand:
         assert code == 2 and ran == []
         assert capsys.readouterr().err.startswith(f"error: --jobs must be at least 1, got {jobs}")
 
-    def test_no_more_workers_than_seeds(self, toy_config, tmp_path, monkeypatch):
-        sizes = []
-
-        class RecordingPool:          # runs in-process, records the pool size asked for
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        for seeds, jobs in (("0,1", 64), ("0", 8), ("0,1,2", 2)):
-            assert main(["run", "--config", toy_config, "--seeds", seeds, "--jobs", str(jobs),
+    def test_no_more_workers_than_seeds(self, tmp_path, monkeypatch):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({**TOY, "grid": {"lr": [0.1, 0.05, 0.01]}}))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        started = record_workers(monkeypatch)
+        fans = protocol.openblas(protocol.BLAS_SET_THREADS) is not None
+        # seed workers, then each in-process seed's candidate workers: 4 cores
+        # over one seed worker, so up to 4, but never more than 3 candidates
+        for seeds, jobs, expected in (("0,1", 64, [2]), ("0", 8, [1, 3 if fans else 1]),
+                                      ("0,1,2", 2, [2])):
+            started.clear()
+            assert main(["run", "--config", str(config), "--seeds", seeds, "--jobs", str(jobs),
                          "--out", str(tmp_path / f"j{jobs}")]) == 0
-        assert sizes == [2, 2]
+            assert started == expected
+
+    def test_a_seed_worker_that_dies_exits_2_naming_its_exit_code(
+            self, toy_config, tmp_path, capsys, monkeypatch, bounded):
+        parent, run = os.getpid(), cli.run_seed
+
+        def die(config, seed, workers):
+            if os.getpid() == parent:
+                pytest.fail("seed ran in-process")
+            if seed == 1:
+                os._exit(3)
+            return run(config, seed, workers)
+
+        monkeypatch.setattr(cli, "run_seed", die)
+        with bounded(30):
+            code = main(["run", "--config", toy_config, "--seeds", "0,1", "--jobs", "2",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exited with code 3" in err
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_seed_stops_its_sibling_and_exits_2(self, toy_config, tmp_path, capsys,
+                                                          monkeypatch, bounded):
+        def fail(config, seed, workers):
+            if seed == 0:
+                time.sleep(600)     # read first, yet stopped by seed 1's failure, not waited for
+            raise ProtocolError("single-pass audit failed for 1 example(s): {7: (2, 1)}")
+
+        monkeypatch.setattr(cli, "run_seed", fail)
+        with bounded(30):
+            code = main(["run", "--config", toy_config, "--seeds", "0,1", "--jobs", "2",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: single-pass audit failed")
+        assert multiprocessing.active_children() == []
 
     def test_parallel_jobs(self, tmp_path, capsys, monkeypatch):
         outs = jobs_outputs(monkeypatch, tmp_path, ["run", "--seeds", "0,1"], [0.05])

@@ -1,10 +1,8 @@
-import contextlib
 import inspect
 import json
 import multiprocessing
 import os
 import re
-import signal
 import struct
 import time
 from dataclasses import asdict, fields, replace
@@ -12,7 +10,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from llb import nn, protocol
+from llb import cli, nn, protocol
 from llb.cli import config_from_dict
 from llb.errors import ConfigurationError, LlbError, NumericError, ProtocolError
 from llb.learners import LearnerState, make_learner, multitask_train
@@ -513,22 +511,7 @@ class TestCrossValidate:
             assert result == cross_validate("vanilla", cv, arch, grid, seed=0, workers=1)
         assert [c.accuracy is None for c in result.candidates] == [False, True, False]
 
-    @staticmethod
-    @contextlib.contextmanager
-    def bounded(seconds):
-        """Raise TimeoutError in the test after ``seconds`` (a fork clears the alarm)."""
-        def expired(signum, frame):
-            raise TimeoutError(f"selection still running after {seconds} s")
-
-        previous = signal.signal(signal.SIGALRM, expired)
-        signal.alarm(seconds)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
-    def test_a_worker_exception_keeps_its_type_and_message(self, monkeypatch):
+    def test_a_worker_exception_keeps_its_type_and_message(self, monkeypatch, bounded):
         cv, arch = self.cv_setup("vanilla")
 
         def audit_fails(learner, tasks, hp, seed, **kwargs):
@@ -537,12 +520,12 @@ class TestCrossValidate:
             time.sleep(600)     # the other worker is stopped, not waited for
 
         monkeypatch.setattr(protocol, "run_single_pass", audit_fails)
-        with self.bounded(30), pytest.raises(ProtocolError, match=re.escape("{7: (2, 1)}")):
+        with bounded(30), pytest.raises(ProtocolError, match=re.escape("{7: (2, 1)}")):
             cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
                            seed=0, workers=2)
         assert multiprocessing.active_children() == []
 
-    def test_a_worker_that_dies_raises_naming_its_exit_code(self, monkeypatch):
+    def test_a_worker_that_dies_raises_naming_its_exit_code(self, monkeypatch, bounded):
         cv, arch = self.cv_setup("vanilla")
         parent = os.getpid()
 
@@ -554,7 +537,7 @@ class TestCrossValidate:
             return 0.5
 
         monkeypatch.setattr(protocol, "_score", die)
-        with self.bounded(30), pytest.raises(LlbError, match="exited with code 3"):
+        with bounded(30), pytest.raises(LlbError, match="exited with code 3"):
             cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
                            seed=0, workers=2)
         assert multiprocessing.active_children() == []
@@ -569,6 +552,16 @@ class TestCrossValidate:
         result = cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
                                 seed=0, workers=2)
         assert [c.accuracy for c in result.candidates] == [1.0, 1.0]
+        assert get() == before
+        # seed workers keep the caller's count, so --jobs does not change results
+        monkeypatch.setattr(cli, "run_seed", lambda config, seed, workers: get())
+        assert cli.run_config_seeds(ExperimentConfig(seeds=(0, 1)), jobs=2) == [before, before]
+        assert get() == before
+        # candidates scored in-process, here for want of fork, keep the caller's count too
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        result = cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
+                                seed=0, workers=2)
+        assert [c.accuracy for c in result.candidates] == [float(before)] * 2
         assert get() == before
 
 
