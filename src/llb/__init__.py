@@ -42,7 +42,6 @@ from .nn import (
     Model,
     apply_update,
     init_model,
-    loss_and_grad,
     mlp,
 )
 from .protocol import (

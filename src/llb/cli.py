@@ -160,8 +160,6 @@ def _load_config(args) -> ExperimentConfig:
                 raise LlbError(f"{args.config} is not valid JSON: {exc}") from None
     config = config_from_dict(data)
     overrides = {}
-    if args.stream:
-        overrides["stream"] = {**config.stream, "kind": args.stream}
     if args.seeds:
         overrides["seeds"] = _int_flag("--seeds", args.seeds)
     if args.hidden:
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--stream", choices=["permuted-mnist", "synthetic-split"])
         p.add_argument("--seeds", help="comma-separated seed list")
         p.add_argument("--hidden", help="comma-separated hidden widths")
         p.add_argument("--study-epochs", type=int, dest="study_epochs",

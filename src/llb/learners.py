@@ -20,7 +20,7 @@ from . import nn
 from .embedding import je_loss_and_grad
 from .errors import ConfigurationError
 from .memory import EpisodicMemory, sample_ref_batch, update_eps_mem
-from .nn import Batch, Model, apply_update, loss_and_grad
+from .nn import Batch, Model, apply_update
 from .qp import DualProblem, drop_zero_rows, reconstruct, solve_nonneg_qp
 from .rng import spawn_seed, substream
 from .streams import TaskDataset
@@ -78,7 +78,7 @@ def batch_loss_and_grad(model: Model, batch: Batch, descriptors: dict, out=None,
     its trunk weight blocks (see ``nn.head_loss_and_grad``).
     """
     if model.arch.head_mode == nn.PER_TASK:
-        return loss_and_grad(model, batch, out, factors)
+        return nn.head_loss_and_grad(model, batch.x, batch.y, batch.tasks, out=out, factors=factors)
     return je_loss_and_grad(model, batch, descriptors[batch.tasks], out, factors)
 
 
@@ -109,7 +109,6 @@ def vanilla_step(state: LearnerState, batch: Batch, lr: float) -> LearnerState:
 class Projection(NamedTuple):
     g_tilde: np.ndarray
     violated: bool
-    degenerate: bool = False
 
 
 def agem_project(g: np.ndarray, g_ref: np.ndarray, out: np.ndarray | None = None) -> Projection:
@@ -122,16 +121,14 @@ def agem_project(g: np.ndarray, g_ref: np.ndarray, out: np.ndarray | None = None
 
     rounded as written: the scaled reference first, then the difference.
     g~ is written into ``out`` when given, which may be g_ref itself (not
-    g); without ``out`` it is a new vector.  A reference with squared norm
-    below 1e-12 is flagged degenerate and leaves g unchanged.
+    g); without ``out`` it is a new vector.  A reference of squared norm at
+    most ``DEGENERATE_REF_EPS`` (all zero, say) passes g through unviolated.
     """
     if g.shape != g_ref.shape:
         raise ConfigurationError("gradient and reference length mismatch")
     ref_sq = float(g_ref @ g_ref)
-    if ref_sq <= DEGENERATE_REF_EPS:
-        return Projection(g, False, degenerate=True)
     dot = float(g @ g_ref)
-    if dot >= 0.0:
+    if ref_sq <= DEGENERATE_REF_EPS or dot >= 0.0:
         return Projection(g, False)
     scaled = np.multiply(dot / ref_sq, g_ref, out=out)
     return Projection(np.subtract(g, scaled, out=scaled), True)

@@ -97,15 +97,13 @@ def update_eps_mem(mem: EpisodicMemory, task_dataset: TaskDataset, seed: int) ->
     return mem
 
 
-def sample_ref_batch(mem: EpisodicMemory, size: int, rng: np.random.Generator) -> Batch | None:
+def sample_ref_batch(mem: EpisodicMemory, size: int, rng: np.random.Generator) -> Batch:
     """min(size, stored) examples uniform without replacement over all buffers.
 
     Index i of the draw is row i of the store, so one gather yields the
-    sampled rows in draw order.  Returns None when the memory is empty;
-    callers fall back to an unconstrained step.
+    sampled rows in draw order.  The memory must hold a row: ``agem_step``
+    takes a plain step on an empty one and never samples it.
     """
     total = len(mem)
-    if total == 0:
-        return None
     idx = rng.choice(total, size=min(size, total), replace=False)
     return Batch(mem.x[idx], mem.y[idx], mem.tasks[idx])

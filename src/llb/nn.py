@@ -286,12 +286,6 @@ class Head:
             out[table] += ((u**2).T @ (h**2)).ravel()
 
 
-def check_logits(logits: np.ndarray, task) -> np.ndarray:
-    if not np.isfinite(logits).all():
-        raise NumericError(f"non-finite logits for task {task}")
-    return logits
-
-
 def _softmax_rows(logits: np.ndarray, labels: np.ndarray):
     """Per row, the label's log-probability and softmax minus the one-hot label.
 
@@ -402,7 +396,9 @@ def head_loss_and_grad(
     head = Head(model, tasks, descriptors.get(tasks))
     head.check_labels(labels)
     pres, posts = trunk_forward(model, inputs)
-    logits = check_logits(head.logits(posts[-1]), tasks)
+    logits = head.logits(posts[-1])
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite logits for task {tasks}")
     loss, dlogits = softmax_cross_entropy(logits, labels)
     grad = _gradient_buffer(model, out)
     head.add_grad(posts[-1], dlogits, grad)
@@ -478,18 +474,6 @@ def predict(model: Model, inputs: np.ndarray, task: int) -> np.ndarray:
     head = Head(model, task)
     _, posts = trunk_forward(model, inputs)
     return head.logits(posts[-1]).argmax(axis=1)
-
-
-def loss_and_grad(
-    model: Model, batch: Batch, out: np.ndarray | None = None, factors: list | None = None
-) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its exact gradient over all of theta.
-
-    Heads of tasks absent from ``batch.tasks`` receive exactly zero gradient.
-    The gradient goes into ``out`` when given, and a ``factors`` list
-    defers its trunk weight blocks (see ``head_loss_and_grad``).
-    """
-    return head_loss_and_grad(model, batch.x, batch.y, batch.tasks, out=out, factors=factors)
 
 
 BLOCK = 16384   # elements per block of the in-place vector updates (128 kB of scratch)

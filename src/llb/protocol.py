@@ -69,9 +69,9 @@ def check_value(level: str, key: str, value, default) -> None:
     type (an integer also serves as a number, a ``null`` default stands for
     a string, a list is not empty and its items take its first item's type,
     and any other default stands for an object of its type) and every number
-    in it is at least its ``LEAST_VALUES`` entry, or 0 (``lr`` is above 0).
-    ``null`` is valid where the default is ``null`` and for the per-task row
-    counts, where it keeps every base row.  ``level`` names the config object."""
+    in it is finite and at least its ``LEAST_VALUES`` entry, or 0 (``lr`` is
+    above 0).  ``null`` is valid where the default is ``null`` and for the
+    per-task row counts, where it keeps every base row.  ``level`` names the config object."""
     nullable = default is None or key in ("train_per_task", "test_per_task")
     if value is None and nullable:
         return
@@ -85,7 +85,7 @@ def check_value(level: str, key: str, value, default) -> None:
 
     def ok(v) -> bool:
         return (isinstance(v, types) and (types is bool or not isinstance(v, bool))
-                and (not bound or (v > 0 if key == "lr" else v >= least)))
+                and (not bound or (v > 0 if key == "lr" else v >= least) and v < np.inf))
 
     if not (isinstance(value, (list, tuple)) and value and all(map(ok, value)) if is_list
             else ok(value)):

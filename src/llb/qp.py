@@ -34,6 +34,7 @@ from .errors import ConfigurationError, NumericError
 # -_ROUNDING (t + 1) (max|Q| sum(v) + max|c|): a bound, with margin, on the
 # rounding error of the gradient and on the residual of the last solve.
 _ROUNDING = 64 * np.finfo(np.float64).eps
+ZERO_ROW_EPS = 1e-12    # the largest squared norm of a row drop_zero_rows drops
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,12 @@ def reconstruct(g: np.ndarray, G: np.ndarray, v: np.ndarray) -> np.ndarray:
     return G.T @ v + g
 
 
-def drop_zero_rows(G: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Remove degenerate (all-zero) constraint gradients before solving.
+def drop_zero_rows(G: np.ndarray) -> np.ndarray:
+    """Remove all-zero constraint rows (squared norm <= ZERO_ROW_EPS) before solving.
 
     Returns G itself, not a copy, when no row is dropped.
     """
     G = np.atleast_2d(np.asarray(G, dtype=np.float64))
     # one BLAS dot per row reads G at full speed; einsum here is several times slower
-    keep = np.array([row @ row > eps for row in G], dtype=bool)
+    keep = np.array([row @ row > ZERO_ROW_EPS for row in G], dtype=bool)
     return G if keep.all() else G[keep]

@@ -158,24 +158,14 @@ def check_class_split(num_classes: int, classes_per_task: int, tasks: int, attri
 
 @dataclass
 class Continuum:
-    """Ordered task sequence with the cross-validation split index.
-
-    Attribute-split streams also keep their generative map (per-class
-    attribute rows, the attribute-to-input map and the class means) for
-    the attribute-fidelity audit; permuted streams leave these ``None``.
-    """
+    """Ordered task sequence with the cross-validation split index: the
+    first ``cv_split`` tasks select hyper-parameters, the rest evaluate."""
 
     tasks: list[TaskDataset]
     cv_split: int
-    attribute_matrix: np.ndarray | None = None
-    attr_to_input: np.ndarray | None = None
-    class_means: np.ndarray | None = None
 
     def __post_init__(self):
         check_cv_split(len(self.tasks), self.cv_split)
-
-    def __len__(self) -> int:
-        return len(self.tasks)
 
 
 @dataclass
@@ -289,7 +279,8 @@ def make_permuted_stream(
 ) -> Continuum:
     """T tasks, each a fixed pixel permutation of the base images.
 
-    Task 1 uses the identity permutation; descriptors are integer task ids.
+    Task 1 keeps the base's pixel order (no permutation, no column gather);
+    descriptors are integer task ids.
     Optional per-task subsampling keeps runs desk-scale.  Every task's
     inputs are ``Rows`` over the shared base arrays, so the stream holds
     index arrays, not copies.  Deterministic in ``seed``.
@@ -299,7 +290,7 @@ def make_permuted_stream(
     tasks = []
     for k in range(1, T + 1):
         rng = substream(seed, "permute", str(k))
-        perm = np.arange(dim) if k == 1 else rng.permutation(dim)
+        perm = None if k == 1 else rng.permutation(dim)
         tr_idx = np.arange(len(base.train_y))
         te_idx = np.arange(len(base.test_y))
         if train_per_task is not None and train_per_task < len(tr_idx):
@@ -336,7 +327,8 @@ def make_synthetic_split_stream(
 ) -> Continuum:
     """Attribute-described class-split stream (fine-grained benchmark stand-in).
 
-    Every global class owns a fixed binary attribute vector, and class
+    Every global class owns a fixed binary attribute vector (its row of
+    each descriptor; the stream keeps no other part of this map), and class
     inputs are Gaussian around a mean that is a *linear* image of that
     vector, so attributes genuinely predict inputs.  Without replacement,
     the T tasks partition distinct classes; with replacement a class may
@@ -423,10 +415,7 @@ def make_synthetic_split_stream(
                 train_ids=train_ids,
             )
         )
-    return Continuum(
-        tasks, cv_split,
-        attribute_matrix=attrs, attr_to_input=attr_to_input, class_means=class_means,
-    )
+    return Continuum(tasks, cv_split)
 
 
 def split_cv_ev(continuum: Continuum) -> tuple[list[TaskDataset], list[TaskDataset]]:

@@ -339,6 +339,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("override,flags,message", [
         ({"stream": {**TOY["stream"], "tasks": "4"}}, [], "stream 'tasks'"),
         ({"grid": {"lr": ["fast"]}}, [], "grid 'lr'"),
+        ({"grid": {"lr": [float("inf")]}}, [], "grid 'lr' must be a list of numbers > 0"),
         ({}, ["--learner", "bogus"], "unknown learner 'bogus'"),
         ({}, ["--study-epochs", "0"], "config 'study_epochs'"),
         ({}, ["--seeds", "0,0"], "config 'seeds' names a seed twice"),
@@ -351,10 +352,25 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_infinite_value_exit_2_before_any_seed_runs(self, tmp_path, capsys, monkeypatch):
+        # json reads Infinity; an infinite EWC strength would otherwise pass
+        # selection and fail in the EV pass as a numeric fault
+        def never(*args, **kwargs):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(cli, "run_seed", never)
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({**TOY, "learner": "ewc",
+                                    "base": {**TOY["base"], "lam": float("inf")}}))
+        assert "Infinity" in path.read_text()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: base 'lam' must be a number >= 0, got inf")
+        assert not (tmp_path / "x").exists()
+
     def test_overrides_replace_config_fields(self, toy_config, capsys):
         assert main(["run", "--config", toy_config, "--learner", "gem", "--seeds", "3,4",
-                     "--hidden", "7", "--stream", "permuted-mnist", "--study-epochs", "2",
-                     "--print-config"]) == 0
+                     "--hidden", "7", "--study-epochs", "2", "--print-config"]) == 0
         shown = json.loads(capsys.readouterr().out)
         assert shown == {**config_to_dict(config_from_dict(TOY)), "learner": "gem",
                          "seeds": [3, 4], "hidden": [7], "study_epochs": 2}

@@ -61,7 +61,7 @@ class TestVanilla:
         stream = small_stream()
         state = fresh_state(stream)
         batch = first_batch(stream.tasks[0])
-        _, grad = nn.loss_and_grad(state.model, batch)
+        _, grad = batch_loss_and_grad(state.model, batch, state.descriptors)
         expected = state.model.copy()
         nn.apply_update(expected, grad, 0.05)
         vanilla_step(state, batch, 0.05)
@@ -102,11 +102,11 @@ class TestProjection:
         assert proj.violated
         assert np.allclose(proj.g_tilde, [0.0, 0.0])
 
-    def test_degenerate_reference_flag(self):
+    def test_degenerate_reference_passes_through(self):
         g = np.array([1.0, 2.0])
         proj = agem_project(g, np.zeros(2))
-        assert proj.degenerate and not proj.violated
-        assert np.array_equal(proj.g_tilde, g)
+        assert not proj.violated
+        assert proj.g_tilde is g
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000))
@@ -311,6 +311,37 @@ class TestAGemStep:
                 assert drop / eps <= 1e-6
             vanilla_step(state, batch, 0.05)
         assert found > 0
+
+    @pytest.mark.parametrize("hidden, rows, pays", [((6,), 4, False), ((64, 64), 2, True)])
+    def test_zero_reference_gradient_equals_vanilla(self, hidden, rows, pays, monkeypatch):
+        # a one-class head has exactly zero loss gradient, so a memory of a
+        # one-class task makes g_ref zero and agem_project passes g through;
+        # where factors pay, the certificate declines (zero factor norms) first
+        arch = nn.Architecture(64, hidden, ((1, 1), (2, 3)))
+        rng = np.random.default_rng(0)
+        mem = EpisodicMemory(8)
+        mem.add(nn.Batch(rng.normal(size=(8, 64)), np.zeros(8, dtype=int), 1, np.arange(8)))
+        state = LearnerState(model=nn.init_model(arch, 0), memory=mem)
+        twin = LearnerState(model=nn.init_model(arch, 0))
+        batch = nn.Batch(rng.normal(size=(rows, 64)), rng.integers(0, 3, size=rows), 2)
+        assert factors_pay(state.model, rows) is pays
+        results = {}
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                results[fn.__name__] = fn(*args, **kwargs)
+                return results[fn.__name__]
+            return wrapped
+
+        monkeypatch.setattr(learners, "certified_positive", spy(certified_positive))
+        monkeypatch.setattr(learners, "agem_project", spy(agem_project))
+        agem_step(state, batch, 0.05, 8, substream(0, "ref-batch"))
+        vanilla_step(twin, batch, 0.05)
+        assert not np.any(state.g_ref)
+        assert results.pop("agem_project").violated is False
+        assert results == ({"certified_positive": False} if pays else {})
+        assert np.array_equal(state.model.theta, twin.model.theta)
+        assert state.violation_count == 0
 
 
 def per_task_loop_loss_and_grad(model, mixed, descriptors):
@@ -926,7 +957,7 @@ class TestEwc:
         slow = np.zeros_like(fast)
         for i in range(12):
             single = nn.Batch(batch.x[i : i + 1], batch.y[i : i + 1], batch.tasks)
-            _, g = nn.loss_and_grad(state.model, single)
+            _, g = batch_loss_and_grad(state.model, single, state.descriptors)
             slow += g**2
         assert np.allclose(fast, slow, atol=1e-10)
 
@@ -983,7 +1014,7 @@ class TestMultitask:
         x, y = tasks[0].train_x, tasks[0].train_y
         for start in range(0, len(order), 10):
             idx = order[start : start + 10]
-            _, g = nn.loss_and_grad(twin, nn.Batch(x[idx], y[idx], 1))
+            _, g = batch_loss_and_grad(twin, nn.Batch(x[idx], y[idx], 1), {})
             nn.apply_update(twin, g, 0.05)
         assert np.allclose(model.theta, twin.theta, atol=1e-12)
 

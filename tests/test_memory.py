@@ -98,9 +98,6 @@ class TestSampleRefBatch:
             update_eps_mem(mem, make_task(n, task_id=t), seed=t)
         return mem
 
-    def test_empty_memory_signals_none(self):
-        assert sample_ref_batch(EpisodicMemory(10), 5, substream(0, "ref-batch")) is None
-
     def test_requests_above_total_return_everything(self):
         mem = self.fill([25, 15], m=40)
         batch = sample_ref_batch(mem, 256, substream(0, "ref-batch"))

@@ -128,7 +128,7 @@ class TestLossAndGrad:
         arch = small_arch()
         model = nn.Model(arch, np.zeros(arch.param_count))
         batch = nn.Batch(np.ones((6, 5)), np.array([0, 1, 2, 0, 1, 2]), 1)
-        loss, _ = nn.loss_and_grad(model, batch)
+        loss, _ = nn.head_loss_and_grad(model, batch.x, batch.y, batch.tasks)
         assert loss == pytest.approx(np.log(3), abs=1e-12)
 
     def test_duplicated_batch_invariance(self):
@@ -141,8 +141,8 @@ class TestLossAndGrad:
             np.concatenate([batch.y, batch.y]),
             batch.tasks,
         )
-        l1, g1 = nn.loss_and_grad(model, batch)
-        l2, g2 = nn.loss_and_grad(model, doubled)
+        l1, g1 = nn.head_loss_and_grad(model, batch.x, batch.y, batch.tasks)
+        l2, g2 = nn.head_loss_and_grad(model, doubled.x, doubled.y, doubled.tasks)
         assert l1 == pytest.approx(l2, abs=1e-12)
         assert np.allclose(g1, g2, atol=1e-12)
 
@@ -151,10 +151,11 @@ class TestLossAndGrad:
         arch = small_arch()
         model = nn.init_model(arch, 4)
         batch = random_batch(arch, rng)
-        _, grad = nn.loss_and_grad(model, batch)
+        _, grad = nn.head_loss_and_grad(model, batch.x, batch.y, batch.tasks)
         coords = rng.choice(arch.param_count, size=min(200, arch.param_count), replace=False)
         fd = finite_diff_grad(
-            lambda t: nn.loss_and_grad(nn.Model(arch, t), batch)[0], model.theta, coords
+            lambda t: nn.head_loss_and_grad(nn.Model(arch, t), batch.x, batch.y, batch.tasks)[0],
+            model.theta, coords,
         )
         rel = np.linalg.norm(grad[coords] - fd) / np.linalg.norm(fd)
         assert rel < 1e-6
@@ -163,7 +164,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(3)
         arch = nn.mlp(5, (7, 6), [3, 4, 5])
         model = nn.init_model(arch, 4)
-        _, grad = nn.loss_and_grad(model, random_batch(arch, rng, task=2))
+        batch = random_batch(arch, rng, task=2)
+        _, grad = nn.head_loss_and_grad(model, batch.x, batch.y, batch.tasks)
         assert np.all(grad[model.head_slice(1)] == 0.0)
         assert np.all(grad[model.head_slice(3)] == 0.0)
         assert np.any(grad[model.head_slice(2)] != 0.0)
@@ -173,20 +175,21 @@ class TestLossAndGrad:
         arch = small_arch()
         for seed in range(5):
             model = nn.init_model(arch, seed)
-            loss, _ = nn.loss_and_grad(model, random_batch(arch, rng))
+            batch = random_batch(arch, rng)
+            loss, _ = nn.head_loss_and_grad(model, batch.x, batch.y, batch.tasks)
             assert loss >= 0.0
 
     def test_empty_batch_rejected(self):
         model = nn.init_model(small_arch(), 0)
         with pytest.raises(ConfigurationError):
-            nn.loss_and_grad(model, nn.Batch(np.zeros((0, 5)), np.zeros(0, dtype=int), 1))
+            nn.head_loss_and_grad(model, np.zeros((0, 5)), np.zeros(0, dtype=int), 1)
 
     def test_nonfinite_input_names_layer(self):
         model = nn.init_model(small_arch(), 0)
         bad = nn.Batch(np.full((2, 5), np.inf), np.zeros(2, dtype=int), 1)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="layer 0"):
-                nn.loss_and_grad(model, bad)
+                nn.head_loss_and_grad(model, bad.x, bad.y, bad.tasks)
 
 
 class TestBatch:
@@ -210,10 +213,8 @@ class TestBatch:
 
     def test_short_tasks_never_reach_the_kernel(self):
         # the grouped kernel would fail on it with a bare numpy error
-        model = nn.init_model(small_arch(), 0)
         with pytest.raises(ConfigurationError, match="tasks"):
-            nn.loss_and_grad(model, nn.Batch(np.ones((4, 5)), np.zeros(4, dtype=int),
-                                             tasks=np.array([1, 2, 1])))
+            nn.Batch(np.ones((4, 5)), np.zeros(4, dtype=int), tasks=np.array([1, 2, 1]))
 
 
 class TestApplyUpdate:

@@ -711,10 +711,12 @@ class TestStreamValues:
         ("permuted-mnist", "train_per_task", -5,
          "'train_per_task' must be an integer >= 1 or null, got -5"),
         ("permuted-mnist", "base_noise", "big", "'base_noise' must be a number >= 0"),
+        ("permuted-mnist", "base_noise", float("inf"), "'base_noise' must be a number >= 0, got inf"),
         ("permuted-mnist", "data_dir", 3, "'data_dir' must be a string or null"),
         ("permuted-mnist", "cv_split", None, "'cv_split' must be an integer >= 1, got None"),
         ("synthetic-split", "noise", "big", "'noise' must be a number >= 0, got 'big'"),
         ("synthetic-split", "noise", -0.5, "'noise' must be a number >= 0"),
+        ("synthetic-split", "noise", float("inf"), "'noise' must be a number >= 0, got inf"),
         ("synthetic-split", "with_replacement", 1, "'with_replacement' must be a boolean"),
         ("synthetic-split", "num_classes", [80], "'num_classes' must be an integer >= 1"),
     ])
@@ -746,7 +748,9 @@ class TestConfigValues:
     @pytest.mark.parametrize("name, value, message", [
         ("lr", 0, "base 'lr' must be a number > 0, got 0"),
         ("lr", True, "base 'lr' must be a number > 0"),
+        ("lr", float("inf"), "base 'lr' must be a number > 0, got inf"),
         ("lam", -1.0, "base 'lam' must be a number >= 0"),
+        ("lam", float("inf"), "base 'lam' must be a number >= 0, got inf"),
         ("memory_per_task", 0, "base 'memory_per_task' must be an integer >= 1"),
         ("ref_batch_size", 0, "base 'ref_batch_size' must be an integer >= 1"),
         ("batch_size", 2.5, "base 'batch_size' must be an integer >= 1"),

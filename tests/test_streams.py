@@ -160,11 +160,12 @@ class TestSyntheticSplitStream:
             make_synthetic_split_stream(num_classes=80, classes_per_task=5, T=2, A=7, cv_split=1)
 
     def test_redrawn_attribute_rows_distinct(self):
-        # at seed 0, 80 classes over 10 attributes take several draws
+        # at seed 0, 80 classes over 10 attributes take several draws; 16
+        # tasks of 5 use every class, so the descriptors hold every row
         cont = make_synthetic_split_stream(
-            num_classes=80, classes_per_task=5, T=2, A=10, seed=0, cv_split=1
+            num_classes=80, classes_per_task=5, T=16, A=10, seed=0, cv_split=1
         )
-        assert len({tuple(row) for row in cont.attribute_matrix}) == 80
+        assert len({tuple(row) for t in cont.tasks for row in t.descriptor}) == 80
 
     def test_with_replacement_shards_disjoint(self):
         cont = make_synthetic_split_stream(
@@ -187,22 +188,20 @@ class TestSyntheticSplitStream:
     def test_fixed_seed_reproducible_attributes(self):
         a = make_synthetic_split_stream(num_classes=20, classes_per_task=2, T=5, seed=8, cv_split=2)
         b = make_synthetic_split_stream(num_classes=20, classes_per_task=2, T=5, seed=8, cv_split=2)
-        assert np.array_equal(a.attribute_matrix, b.attribute_matrix)
         for ta, tb in zip(a.tasks, b.tasks):
             assert np.array_equal(ta.descriptor, tb.descriptor)
             assert np.array_equal(ta.train_x, tb.train_x)
 
-    def test_attribute_fidelity_linear_reconstruction(self):
-        # class means are an exactly linear image of the attribute vectors
-        cont = make_synthetic_split_stream(num_classes=30, classes_per_task=3, T=5, seed=2, cv_split=2)
-        reconstructed = cont.attribute_matrix @ cont.attr_to_input
-        assert np.allclose(reconstructed, cont.class_means, atol=1e-12)
-
     def test_descriptor_rows_match_label_set(self):
-        cont = make_synthetic_split_stream(num_classes=30, classes_per_task=4, T=5, seed=2, cv_split=2)
+        # 5 tasks of 4 out of 8 classes: classes recur, each with its one row
+        cont = make_synthetic_split_stream(num_classes=8, classes_per_task=4, T=5, seed=2,
+                                           cv_split=2, with_replacement=True)
+        row_of = {}
         for t in cont.tasks:
             assert t.descriptor.shape == (4, 32)
-            assert np.array_equal(t.descriptor, cont.attribute_matrix[list(t.label_set)])
+            for c, row in zip(t.label_set, t.descriptor):
+                assert np.array_equal(row_of.setdefault(c, row), row)
+        assert len({tuple(r) for r in row_of.values()}) == len(row_of)
 
 
 class TestSplitCvEv:
@@ -341,14 +340,15 @@ class TestLazyRows:
         base = synthetic_mnist_base(400, 100, seed=0, dim=30)
         cont = make_permuted_stream(base, T=6, seed=2, cv_split=2,
                                     train_per_task=150, test_per_task=40)
-        assert cont.attribute_matrix is None and cont.class_means is None
         for task in cont.tasks:
+            # task 1 keeps the base's pixel order, so it stores no permutation
+            first = task.task_id == 1
             for x, src, n in ((task.train_x, base.train_x, 150), (task.test_x, base.test_x, 40)):
                 assert x.base is src and np.shares_memory(x.base, src)
-                assert isinstance(x, Rows)
-                held = (x.rows, x.perm)
+                assert isinstance(x, Rows) and (x.perm is None) == first
+                held = (x.rows,) if first else (x.rows, x.perm)
                 assert all(v.dtype.kind == "i" and v.ndim == 1 for v in held)
-                assert sum(v.nbytes for v in held) == (n + 30) * 8
+                assert sum(v.nbytes for v in held) == (n + (0 if first else 30)) * 8
 
     def test_building_a_stream_allocates_no_task_inputs(self):
         import tracemalloc
@@ -546,7 +546,7 @@ def pooled_split_stream(num_classes, classes_per_task, T, A, with_replacement, s
             "descriptor": attrs[classes],
             "label_set": tuple(classes),
         })
-    return tasks, attrs, attr_to_input, class_means
+    return tasks
 
 
 def same_bits(got, want) -> bool:
@@ -564,13 +564,10 @@ class TestSplitStreamInPlace:
                   with_replacement=with_replacement, seed=seed, input_dim=5,
                   train_per_class=10, test_per_class=3, noise=0.5)
         cont = make_synthetic_split_stream(cv_split=2, **kw)
-        tasks, attrs, attr_to_input, class_means = pooled_split_stream(**kw)
+        tasks = pooled_split_stream(**kw)
         if with_replacement:
             uses = np.bincount([c for t in tasks for c in t["label_set"]])
             assert any(m > 1 and 10 % m for m in uses)
-        assert same_bits(cont.attribute_matrix, attrs)
-        assert same_bits(cont.attr_to_input, attr_to_input)
-        assert same_bits(cont.class_means, class_means)
         assert len(cont.tasks) == len(tasks)
         for task, want in zip(cont.tasks, tasks):
             assert task.label_set == want["label_set"]
