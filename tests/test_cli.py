@@ -339,11 +339,11 @@ class TestRunCommand:
     @pytest.mark.parametrize("override,flags,message", [
         ({"stream": {**TOY["stream"], "tasks": "4"}}, [], "stream 'tasks'"),
         ({"grid": {"lr": ["fast"]}}, [], "grid 'lr'"),
-        ({"grid": {"lr": [float("inf")]}}, [], "grid 'lr' must be a list of numbers > 0"),
         ({}, ["--learner", "bogus"], "unknown learner 'bogus'"),
         ({}, ["--study-epochs", "0"], "config 'study_epochs'"),
         ({}, ["--seeds", "0,0"], "config 'seeds' names a seed twice"),
         ({}, ["--learner", "agem-je"], "integer task ids"),
+        ({"grid": {"lr": [float("inf")]}}, [], "grid 'lr' must be a list of numbers > 0"),
     ])
     def test_print_config_checks_every_value(self, override, flags, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
