@@ -79,15 +79,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def run_config_seeds(config: ExperimentConfig, jobs: int = 1) -> list[SeedResult]:
     """Each seed's result, in seed order, from up to ``jobs`` processes of
     ``protocol.fork_map`` (never more than seeds), which keep the caller's
-    BLAS threads, so results do not depend on ``jobs``.  Each seed's
-    selection trains its grid candidates side by side on the cores the seed
-    workers leave, at one BLAS thread each (see ``protocol.cross_validate``)."""
-    seed_workers = min(jobs, len(config.seeds))
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, (cores or 1) // seed_workers)
+    BLAS threads.  Each seed's selection sizes its own one-thread workers
+    by the usable cores (see ``protocol.cross_validate``), so results do
+    not depend on ``jobs``."""
     # run_seed is looked up here, so a wrapper set on this module is what the workers run
-    return fork_map(functools.partial(run_seed, config, workers=workers), config.seeds,
-                    seed_workers)
+    return fork_map(functools.partial(run_seed, config), config.seeds, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hidden", help="comma-separated hidden widths")
         p.add_argument("--study-epochs", type=int, dest="study_epochs",
                        help="epochs per EV task (study mode when > 1)")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="run up to this many seeds side by side (default 1)")
         p.add_argument("--out", default="llb-out")
 
     p_run = sub.add_parser("run", help="run one experiment config", allow_abbrev=False)

@@ -89,6 +89,9 @@ def check_value(level: str, key: str, value, default) -> None:
 
     if not (isinstance(value, (list, tuple)) and value and all(map(ok, value)) if is_list
             else ok(value)):
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        if noun == "number" and any(isinstance(v, float) and not np.isfinite(v) for v in items):
+            noun = "finite number"      # name the bound an infinity or NaN breaks
         wanted = f"a list of {noun}s" if is_list else ("an " if noun[0] in "aio" else "a ") + noun
         rest = ", not empty" if is_list else " or null" if nullable else ""
         raise ConfigurationError(f"{level} {key!r} must be {wanted}{bound}{rest}, got {value!r}")
@@ -584,7 +587,6 @@ def cross_validate(
     arch: nn.Architecture,
     grid: list[HyperParams],
     seed: int,
-    workers: int = 1,
 ) -> CvResult:
     """Train each candidate on the CV stream; the best score wins.
 
@@ -597,13 +599,13 @@ def cross_validate(
     a CV run raises its own ``ProtocolError``, and so does a grid whose
     every candidate failed.
 
-    With ``workers`` > 1 the candidates train side by side in up to
-    ``workers`` processes of ``fork_map``, each at one BLAS thread, each
-    with its own model and memory and the CV tasks shared copy-on-write.
-    One BLAS thread can move the weights at round-off; no score of the
-    shipped or benchmark configs moved.  Selection stays in-process, at the
-    caller's BLAS threads, with one worker, where the ``fork`` start method
-    is missing, and where numpy's bundled OpenBLAS has no thread setter.
+    The candidates train side by side on ``fork_map``, one worker per
+    usable core (never more than candidates), each at one BLAS thread, with
+    its own model and memory and the CV tasks shared copy-on-write.  Only
+    the cores set the worker count, so selection takes the same path however
+    many seeds run beside it.  It stays in-process, at the caller's BLAS
+    threads, on one core, with one candidate, where the ``fork`` start
+    method is missing, and where numpy's OpenBLAS has no thread setter.
     """
     if not grid:
         raise ConfigurationError("empty hyper-parameter grid")
@@ -617,8 +619,8 @@ def cross_validate(
             set_threads(1)
         return _score(base, cv_tasks, arch, hp, seed)
 
-    if openblas(BLAS_SET_THREADS) is None:
-        workers = 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = (cores or 1) if openblas(BLAS_SET_THREADS) is not None else 1
     scores = fork_map(score_candidate, grid, workers)
     candidates = [CvCandidate(hp, score) for hp, score in zip(grid, scores)]
     scored = [c for c in candidates if c.accuracy is not None]
@@ -715,17 +717,17 @@ class SeedResult:
     cv: CvResult
 
 
-def run_seed(config: ExperimentConfig, seed: int, workers: int = 1) -> SeedResult:
-    """Full protocol for one seed: CV selection, reset, single-pass EV run.
-    Selection trains its candidates on up to ``workers`` processes
-    (see ``cross_validate``)."""
+def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
+    """Full protocol for one seed: CV selection, on one-thread workers
+    (see ``cross_validate``), then reset and the single-pass EV run at the
+    caller's BLAS threads."""
     base_name, je = parse_learner(config.learner)
     continuum = build_stream(config.stream, seed)
     arch = arch_for_stream(continuum, config.hidden, je)
     cv_tasks, ev_tasks = split_cv_ev(continuum)
     grid = expand_grid(config.base, config.grid)
 
-    cv = cross_validate(config.learner, cv_tasks, arch, grid, seed, workers)
+    cv = cross_validate(config.learner, cv_tasks, arch, grid, seed)
     hp = replace(cv.best, epochs=config.study_epochs)    # the EV run's one pass count
 
     if base_name == "multitask":

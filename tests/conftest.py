@@ -1,4 +1,5 @@
 import contextlib
+import os
 import signal
 
 import pytest
@@ -23,3 +24,14 @@ def bounded():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """``cores(n)``: report ``n`` usable cores through ``os.sched_getaffinity``,
+    which sizes selection's worker pool, so a test takes the same path on
+    any machine (forked workers inherit the patch)."""
+    def usable(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return usable

@@ -61,15 +61,15 @@ def record_workers(monkeypatch) -> list[int]:
     return started
 
 
-def jobs_outputs(monkeypatch, tmp_path, argv, lrs) -> dict:
+def jobs_outputs(monkeypatch, cores, tmp_path, argv, lrs) -> dict:
     """``argv`` on the toy config with an ``lr`` grid of ``lrs``, run with
     ``--jobs 2`` and ``--jobs 1`` on two usable cores: jobs -> (report.json,
-    the bytes of cv_table.csv), checked to hold the same content.  With
-    ``--jobs 1`` selection fans a grid of two or more out to workers; with
-    ``--jobs 2`` over two seeds no core is left, and it scores in-process."""
+    the bytes of cv_table.csv), checked to hold the same content.  At either
+    ``--jobs`` each seed's selection fans a grid of two or more out to one
+    worker per core; under ``--jobs 2`` it does so inside its seed worker."""
     config = tmp_path / "toy.json"
     config.write_text(json.dumps({**TOY, "grid": {"lr": lrs}}))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cores(2)
     started = record_workers(monkeypatch)
     outs = {}
     for jobs in (2, 1):
@@ -82,7 +82,7 @@ def jobs_outputs(monkeypatch, tmp_path, argv, lrs) -> dict:
     assert outs[2][1] == outs[1][1]
     # per learner: --jobs 2 runs its two seeds on two workers, whose selections
     # are not seen here; --jobs 1 runs them in-process, each selection on up
-    # to two candidate workers
+    # to two candidate workers, one per core
     learners = len(outs[1][0]["config"])
     candidates = min(2, len(lrs)) if protocol.openblas(protocol.BLAS_SET_THREADS) else 1
     assert started == [2] * learners + [1, candidates, candidates] * learners
@@ -133,14 +133,14 @@ class TestRunCommand:
         assert code == 2 and ran == []
         assert capsys.readouterr().err.startswith(f"error: --jobs must be at least 1, got {jobs}")
 
-    def test_no_more_workers_than_seeds(self, tmp_path, monkeypatch):
+    def test_no_more_workers_than_seeds(self, tmp_path, monkeypatch, cores):
         config = tmp_path / "toy.json"
         config.write_text(json.dumps({**TOY, "grid": {"lr": [0.1, 0.05, 0.01]}}))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        cores(4)
         started = record_workers(monkeypatch)
         fans = protocol.openblas(protocol.BLAS_SET_THREADS) is not None
-        # seed workers, then each in-process seed's candidate workers: 4 cores
-        # over one seed worker, so up to 4, but never more than 3 candidates
+        # seed workers, then each in-process seed's candidate workers: one
+        # per core, so up to 4, but never more than 3 candidates
         for seeds, jobs, expected in (("0,1", 64, [2]), ("0", 8, [1, 3 if fans else 1]),
                                       ("0,1,2", 2, [2])):
             started.clear()
@@ -152,12 +152,12 @@ class TestRunCommand:
             self, toy_config, tmp_path, capsys, monkeypatch, bounded):
         parent, run = os.getpid(), cli.run_seed
 
-        def die(config, seed, workers):
+        def die(config, seed):
             if os.getpid() == parent:
                 pytest.fail("seed ran in-process")
             if seed == 1:
                 os._exit(3)
-            return run(config, seed, workers)
+            return run(config, seed)
 
         monkeypatch.setattr(cli, "run_seed", die)
         with bounded(30):
@@ -170,7 +170,7 @@ class TestRunCommand:
 
     def test_a_failing_seed_stops_its_sibling_and_exits_2(self, toy_config, tmp_path, capsys,
                                                           monkeypatch, bounded):
-        def fail(config, seed, workers):
+        def fail(config, seed):
             if seed == 0:
                 time.sleep(600)     # read first, yet stopped by seed 1's failure, not waited for
             raise ProtocolError("single-pass audit failed for 1 example(s): {7: (2, 1)}")
@@ -183,12 +183,12 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: single-pass audit failed")
         assert multiprocessing.active_children() == []
 
-    def test_parallel_jobs(self, tmp_path, capsys, monkeypatch):
-        outs = jobs_outputs(monkeypatch, tmp_path, ["run", "--seeds", "0,1"], [0.05])
+    def test_parallel_jobs(self, tmp_path, capsys, monkeypatch, cores):
+        outs = jobs_outputs(monkeypatch, cores, tmp_path, ["run", "--seeds", "0,1"], [0.05])
         assert [r["seed"] for r in outs[2][0]["reports"]] == [0, 1]
 
-    def test_parallel_jobs_with_a_grid(self, tmp_path, capsys, monkeypatch):
-        outs = jobs_outputs(monkeypatch, tmp_path, ["run", "--seeds", "0,1"], [0.1, 0.05])
+    def test_parallel_jobs_with_a_grid(self, tmp_path, capsys, monkeypatch, cores):
+        outs = jobs_outputs(monkeypatch, cores, tmp_path, ["run", "--seeds", "0,1"], [0.1, 0.05])
         assert outs[1][1].count(b"\n") == 1 + 2 * 2      # header, 2 seeds x 2 candidates
 
     def test_unknown_learner_exit_2_lists_valid(self, toy_config, tmp_path, capsys):
@@ -343,7 +343,7 @@ class TestRunCommand:
         ({}, ["--study-epochs", "0"], "config 'study_epochs'"),
         ({}, ["--seeds", "0,0"], "config 'seeds' names a seed twice"),
         ({}, ["--learner", "agem-je"], "integer task ids"),
-        ({"grid": {"lr": [float("inf")]}}, [], "grid 'lr' must be a list of numbers > 0"),
+        ({"grid": {"lr": [float("inf")]}}, [], "grid 'lr' must be a list of finite numbers > 0"),
     ])
     def test_print_config_checks_every_value(self, override, flags, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -365,7 +365,7 @@ class TestRunCommand:
         assert "Infinity" in path.read_text()
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: base 'lam' must be a number >= 0, got inf")
+        assert err.startswith("error: base 'lam' must be a finite number >= 0, got inf")
         assert not (tmp_path / "x").exists()
 
     def test_overrides_replace_config_fields(self, toy_config, capsys):
@@ -479,12 +479,13 @@ class TestCompareAndGrid:
             hashes.add(json.load(open(os.path.join(out, "report.json")))["config_hash"])
         assert len(hashes) == 2
 
-    def test_compare_parallel_jobs(self, tmp_path, capsys, monkeypatch):
-        outs = jobs_outputs(monkeypatch, tmp_path, ["compare", *self.TWO_LEARNERS], [0.05])
+    def test_compare_parallel_jobs(self, tmp_path, capsys, monkeypatch, cores):
+        outs = jobs_outputs(monkeypatch, cores, tmp_path, ["compare", *self.TWO_LEARNERS], [0.05])
         assert sorted(outs[2][0]["aggregate"]) == ["agem", "vanilla"]
 
-    def test_compare_parallel_jobs_with_a_grid(self, tmp_path, capsys, monkeypatch):
-        outs = jobs_outputs(monkeypatch, tmp_path, ["compare", *self.TWO_LEARNERS], [0.1, 0.05])
+    def test_compare_parallel_jobs_with_a_grid(self, tmp_path, capsys, monkeypatch, cores):
+        outs = jobs_outputs(monkeypatch, cores, tmp_path, ["compare", *self.TWO_LEARNERS],
+                            [0.1, 0.05])
         assert outs[1][1].count(b"\n") == 1 + 2 * 2 * 2     # header, 2 learners x 2 seeds x 2
 
     @pytest.mark.parametrize("command", ["compare", "grid"])

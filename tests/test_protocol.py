@@ -429,7 +429,8 @@ class TestCrossValidate:
     @pytest.mark.parametrize("learner", [
         "vanilla", "ewc", "agem", "gem", "sgem", "agem-je", "multitask",
     ])
-    def test_scores_equal_a_full_logging_pass(self, learner):
+    def test_scores_equal_a_full_logging_pass(self, learner, cores):
+        cores(1)        # in-process, at the reference pass's BLAS threads
         cv, arch = self.cv_setup(learner)
         grid = [toy_hp(lr=0.05, fisher_samples=20), toy_hp(lr=0.01, fisher_samples=20)]
         result = cross_validate(learner, cv, arch, grid, seed=0)
@@ -446,7 +447,8 @@ class TestCrossValidate:
             assert candidate.hp == hp
             assert candidate.accuracy == expected
 
-    def test_a_candidate_evaluates_only_once_after_the_last_task(self, monkeypatch):
+    def test_a_candidate_evaluates_only_once_after_the_last_task(self, monkeypatch, cores):
+        cores(1)        # in-process, where the counters see every call
         cv, arch = self.cv_setup("agem")
         counts = {"eval_accuracy": 0, "accuracy": 0}
 
@@ -476,7 +478,8 @@ class TestCrossValidate:
         # the full pass also scores the k buffers stored after task k
         assert counts == {"eval_accuracy": evals, "accuracy": evals + T * (T + 1) // 2}
 
-    def test_numeric_failure_of_the_final_evaluation_scores_none(self, monkeypatch):
+    def test_numeric_failure_of_the_final_evaluation_scores_none(self, monkeypatch, cores):
+        cores(1)        # in-process, where the failing stand-in counts its calls
         cv, arch = self.cv_setup("vanilla")
         original, calls = protocol.eval_all, []
 
@@ -496,22 +499,27 @@ class TestCrossValidate:
     # the forked path: candidates scored side by side in worker processes
 
     @pytest.mark.parametrize("learner", ["vanilla", "agem", "gem", "agem-je", "multitask"])
-    def test_workers_select_as_in_process(self, learner):
+    def test_workers_select_as_in_process(self, learner, cores):
         cv, arch = self.cv_setup(learner)
         grid = [toy_hp(lr=lr) for lr in (0.1, 0.05, 0.01)]
-        forked = cross_validate(learner, cv, arch, grid, seed=0, workers=2)
-        assert forked == cross_validate(learner, cv, arch, grid, seed=0, workers=1)
+        cores(2)
+        forked = cross_validate(learner, cv, arch, grid, seed=0)
+        cores(1)
+        assert forked == cross_validate(learner, cv, arch, grid, seed=0)
         assert [c.hp for c in forked.candidates] == grid
 
-    def test_divergence_inside_a_worker_scores_none(self):
+    def test_divergence_inside_a_worker_scores_none(self, cores):
         cv, arch = self.cv_setup("vanilla")
         grid = [toy_hp(lr=0.05), toy_hp(lr=1e200), toy_hp(lr=0.01)]
         with np.errstate(over="ignore", invalid="ignore"):
-            result = cross_validate("vanilla", cv, arch, grid, seed=0, workers=2)
-            assert result == cross_validate("vanilla", cv, arch, grid, seed=0, workers=1)
+            cores(2)
+            result = cross_validate("vanilla", cv, arch, grid, seed=0)
+            cores(1)
+            assert result == cross_validate("vanilla", cv, arch, grid, seed=0)
         assert [c.accuracy is None for c in result.candidates] == [False, True, False]
 
-    def test_a_worker_exception_keeps_its_type_and_message(self, monkeypatch, bounded):
+    def test_a_worker_exception_keeps_its_type_and_message(self, monkeypatch, bounded, cores):
+        cores(2)
         cv, arch = self.cv_setup("vanilla")
 
         def audit_fails(learner, tasks, hp, seed, **kwargs):
@@ -521,11 +529,11 @@ class TestCrossValidate:
 
         monkeypatch.setattr(protocol, "run_single_pass", audit_fails)
         with bounded(30), pytest.raises(ProtocolError, match=re.escape("{7: (2, 1)}")):
-            cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
-                           seed=0, workers=2)
+            cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)], seed=0)
         assert multiprocessing.active_children() == []
 
-    def test_a_worker_that_dies_raises_naming_its_exit_code(self, monkeypatch, bounded):
+    def test_a_worker_that_dies_raises_naming_its_exit_code(self, monkeypatch, bounded, cores):
+        cores(2)
         cv, arch = self.cv_setup("vanilla")
         parent = os.getpid()
 
@@ -538,31 +546,51 @@ class TestCrossValidate:
 
         monkeypatch.setattr(protocol, "_score", die)
         with bounded(30), pytest.raises(LlbError, match="exited with code 3"):
-            cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
-                           seed=0, workers=2)
+            cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)], seed=0)
         assert multiprocessing.active_children() == []
 
-    def test_a_worker_runs_one_blas_thread_and_the_parent_keeps_its_own(self, monkeypatch):
+    @staticmethod
+    def blas_threads():
+        """OpenBLAS's thread-count getter; skips the test without it or the setter."""
         get = protocol.openblas("scipy_openblas_get_num_threads64_")
         if get is None or protocol.openblas(protocol.BLAS_SET_THREADS) is None:
             pytest.skip("numpy's bundled OpenBLAS thread getter or setter is not available")
+        return get
+
+    def test_a_worker_runs_one_blas_thread_and_the_parent_keeps_its_own(self, monkeypatch,
+                                                                         cores):
+        get = self.blas_threads()
         cv, arch = self.cv_setup("vanilla")
         before = get()
+        cores(2)
         monkeypatch.setattr(protocol, "_score", lambda *args: float(get()))
-        result = cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
-                                seed=0, workers=2)
+        result = cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)], seed=0)
         assert [c.accuracy for c in result.candidates] == [1.0, 1.0]
         assert get() == before
         # seed workers keep the caller's count, so --jobs does not change results
-        monkeypatch.setattr(cli, "run_seed", lambda config, seed, workers: get())
+        monkeypatch.setattr(cli, "run_seed", lambda config, seed: get())
         assert cli.run_config_seeds(ExperimentConfig(seeds=(0, 1)), jobs=2) == [before, before]
         assert get() == before
         # candidates scored in-process, here for want of fork, keep the caller's count too
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        result = cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)],
-                                seed=0, workers=2)
+        result = cross_validate("vanilla", cv, arch, [toy_hp(lr=0.05), toy_hp(lr=0.01)], seed=0)
         assert [c.accuracy for c in result.candidates] == [float(before)] * 2
         assert get() == before
+
+    def test_candidates_run_one_blas_thread_at_any_jobs(self, monkeypatch, cores):
+        # two seed workers on two cores still score their candidates on
+        # one-thread workers of their own, as --jobs 1 does
+        get = self.blas_threads()
+        cores(2)
+        monkeypatch.setattr(protocol, "_score", lambda *args: float(get()))
+        config = ExperimentConfig(
+            learner="vanilla", hidden=(6, 5), base=toy_hp(), grid={"lr": [0.05, 0.01]},
+            seeds=(0, 1), stream={"kind": "permuted-mnist", "tasks": 3, "cv_split": 1,
+                                  "train_per_task": 30, "test_per_task": 20,
+                                  "base_train": 200, "base_test": 80})
+        for jobs in (2, 1):
+            results = cli.run_config_seeds(config, jobs=jobs)
+            assert [[c.accuracy for c in r.cv.candidates] for r in results] == [[1.0, 1.0]] * 2
 
 
 def write_mnist_idx(directory, names=IDX_FILES):
@@ -711,12 +739,13 @@ class TestStreamValues:
         ("permuted-mnist", "train_per_task", -5,
          "'train_per_task' must be an integer >= 1 or null, got -5"),
         ("permuted-mnist", "base_noise", "big", "'base_noise' must be a number >= 0"),
-        ("permuted-mnist", "base_noise", float("inf"), "'base_noise' must be a number >= 0, got inf"),
+        ("permuted-mnist", "base_noise", float("inf"),
+         "'base_noise' must be a finite number >= 0, got inf"),
         ("permuted-mnist", "data_dir", 3, "'data_dir' must be a string or null"),
         ("permuted-mnist", "cv_split", None, "'cv_split' must be an integer >= 1, got None"),
         ("synthetic-split", "noise", "big", "'noise' must be a number >= 0, got 'big'"),
         ("synthetic-split", "noise", -0.5, "'noise' must be a number >= 0"),
-        ("synthetic-split", "noise", float("inf"), "'noise' must be a number >= 0, got inf"),
+        ("synthetic-split", "noise", float("inf"), "'noise' must be a finite number >= 0, got inf"),
         ("synthetic-split", "with_replacement", 1, "'with_replacement' must be a boolean"),
         ("synthetic-split", "num_classes", [80], "'num_classes' must be an integer >= 1"),
     ])
@@ -748,15 +777,16 @@ class TestConfigValues:
     @pytest.mark.parametrize("name, value, message", [
         ("lr", 0, "base 'lr' must be a number > 0, got 0"),
         ("lr", True, "base 'lr' must be a number > 0"),
-        ("lr", float("inf"), "base 'lr' must be a number > 0, got inf"),
+        ("lr", float("inf"), "base 'lr' must be a finite number > 0, got inf"),
         ("lam", -1.0, "base 'lam' must be a number >= 0"),
-        ("lam", float("inf"), "base 'lam' must be a number >= 0, got inf"),
+        ("lam", float("inf"), "base 'lam' must be a finite number >= 0, got inf"),
         ("memory_per_task", 0, "base 'memory_per_task' must be an integer >= 1"),
         ("ref_batch_size", 0, "base 'ref_batch_size' must be an integer >= 1"),
         ("batch_size", 2.5, "base 'batch_size' must be an integer >= 1"),
         ("epochs", 0, "base 'epochs' must be an integer >= 1"),
         ("beta", -1, "base 'beta' must be an integer >= 0"),
         ("fisher_samples", 0, "base 'fisher_samples' must be an integer >= 1"),
+        ("lam", float("nan"), "base 'lam' must be a finite number >= 0, got nan"),
     ])
     def test_hyperparams_checked(self, name, value, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
