@@ -29,6 +29,7 @@ from .protocol import (
     fork_map,
     parse_learner,
     run_seed,
+    warm_base,
 )
 
 # the full default sweep (per-learner regularization grid only where used)
@@ -81,7 +82,10 @@ def run_config_seeds(config: ExperimentConfig, jobs: int = 1) -> list[SeedResult
     ``protocol.fork_map`` (never more than seeds), which keep the caller's
     BLAS threads.  Each seed's selection sizes its own one-thread workers
     by the usable cores (see ``protocol.cross_validate``), so results do
-    not depend on ``jobs``."""
+    not depend on ``jobs``.  Before more than one worker starts, the
+    parent builds the stream's base, which they all then share."""
+    if min(jobs, len(config.seeds)) > 1:
+        warm_base(config.stream)
     # run_seed is looked up here, so a wrapper set on this module is what the workers run
     return fork_map(functools.partial(run_seed, config), config.seeds, jobs)
 

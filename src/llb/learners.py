@@ -371,7 +371,9 @@ def ewc_penalty_and_grad(
     into ``add_to`` when given (and that array returned), else returned as
     a new vector; with no anchor yet it is left as it is.  The work runs in
     blocks of ``nn.BLOCK`` elements, so no P-sized temporary is made; the
-    penalty sums its blocks' dot products.
+    penalty sums its blocks' dot products, each taken by ``np.einsum`` on
+    the calling thread: a BLAS dot this long would start OpenBLAS's threads,
+    which cost more than the sum.
     """
     theta = state.model.theta
     grad = np.zeros_like(theta) if add_to is None else add_to
@@ -385,7 +387,7 @@ def ewc_penalty_and_grad(
         m = min(nn.BLOCK, theta.size - lo)
         d = np.subtract(theta[blk], anchor.theta_star[blk], out=diff[:m])
         t = np.multiply(anchor.fisher[blk], d, out=term[:m])
-        penalty += float(t @ d)
+        penalty += float(np.einsum("i,i->", t, d))
         t *= 2.0
         grad[blk] += t
     return penalty + anchor.offset, grad

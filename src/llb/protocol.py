@@ -166,7 +166,19 @@ IDX_FILES = (
 )
 
 
+# the stream keys that shape the synthetic base; the process's one base
+# (see _mnist_base) is rebuilt when any of them, or an IDX file, changes
+BASE_KEYS = ("base_train", "base_test", "base_seed", "input_dim", "base_noise")
+_base_cache: list = []      # [key, BaseData] of the last base built, or empty
+
+
 def _mnist_base(stream: dict) -> BaseData:
+    """The permuted stream's seed-independent base, built once per process:
+    the IDX files under the data directory, keyed by its resolved path and
+    each file's size and mtime, else the synthetic stand-in, keyed by
+    ``BASE_KEYS``.  Only the last key's base is held, and its arrays are
+    read-only, so no consumer can change the data a later run sees; a forked
+    worker inherits it."""
     data_dir = stream["data_dir"] or os.environ.get(DATA_DIR_ENV)
     if data_dir:
         paths = [os.path.join(data_dir, n) for n in IDX_FILES]
@@ -176,15 +188,36 @@ def _mnist_base(stream: dict) -> BaseData:
                 f"MNIST data directory {data_dir!r} (from data_dir or ${DATA_DIR_ENV}) "
                 f"lacks {', '.join(missing)}"
             )
-        train_x, train_y = load_mnist_idx(paths[0], paths[1])
-        test_x, test_y = load_mnist_idx(paths[2], paths[3])
-        return BaseData(train_x, train_y, test_x, test_y)
-    # like a real dataset, the synthetic base is fixed across run seeds;
-    # permutations, subsampling, init, and shuffles still vary per seed
-    return synthetic_mnist_base(
-        n_train=stream["base_train"], n_test=stream["base_test"], seed=stream["base_seed"],
-        dim=stream["input_dim"], noise=stream["base_noise"],
-    )
+        key = (os.path.realpath(data_dir),
+               *((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths)))
+
+        def build():
+            return BaseData(*load_mnist_idx(paths[0], paths[1]),
+                            *load_mnist_idx(paths[2], paths[3]))
+    else:
+        key = tuple(stream[k] for k in BASE_KEYS)
+        # like a real dataset, the synthetic base is fixed across run seeds;
+        # permutations, subsampling, init, and shuffles still vary per seed
+        build = functools.partial(
+            synthetic_mnist_base, n_train=stream["base_train"], n_test=stream["base_test"],
+            seed=stream["base_seed"], dim=stream["input_dim"], noise=stream["base_noise"],
+        )
+    if not (_base_cache and _base_cache[0] == key):
+        _base_cache.clear()     # a replaced base is freed once no stream holds it
+        base = build()
+        for array in (base.train_x, base.train_y, base.test_x, base.test_y):
+            array.flags.writeable = False
+        _base_cache[:] = [key, base]
+    return _base_cache[1]
+
+
+def warm_base(stream: dict) -> None:
+    """Build a permuted stream's base in this process, so workers forked
+    after it share one copy-on-write base instead of each building its own;
+    other stream kinds have no shared base."""
+    s = check_stream(stream)
+    if s["kind"] == "permuted-mnist":
+        _mnist_base(s)
 
 
 def check_stream(stream: dict) -> dict:

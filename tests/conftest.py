@@ -35,3 +35,22 @@ def cores(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
     return usable
+
+
+@pytest.fixture
+def base_builds(monkeypatch, tmp_path):
+    """Empty the process's Permuted MNIST base cache and record the process
+    id of every synthetic base build, forked workers' too (they append to a
+    file); returns a function that reads the recorded ids in call order."""
+    from llb import protocol
+
+    log, build = tmp_path / "base-builds", protocol.synthetic_mnist_base
+
+    def recording(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_base_cache", [])
+    monkeypatch.setattr(protocol, "synthetic_mnist_base", recording)
+    return lambda: [int(line) for line in log.read_text().split()] if log.exists() else []

@@ -470,6 +470,26 @@ class TestCompareAndGrid:
         else:
             assert ewc_grid == TOY["grid"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_compare_builds_the_base_once_in_the_parent(self, jobs, toy_config, tmp_path,
+                                                         capsys, monkeypatch, base_builds):
+        ran, run = tmp_path / "seed-pids", cli.run_seed
+
+        def recording(config, seed):
+            with open(ran, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return run(config, seed)
+
+        monkeypatch.setattr(cli, "run_seed", recording)
+        assert main(["compare", "--config", toy_config, *self.TWO_LEARNERS, "--jobs", str(jobs),
+                     "--out", str(tmp_path / "cmp")]) == 0
+        seed_pids = [int(p) for p in ran.read_text().split()]
+        assert len(seed_pids) == 4
+        # at --jobs 2 the seeds run in forked workers, which inherit the parent's base
+        forked = jobs > 1 and "fork" in multiprocessing.get_all_start_methods()
+        assert (os.getpid() not in seed_pids) == forked
+        assert base_builds() == [os.getpid()]
+
     def test_compare_hash_depends_on_learner_list(self, toy_config, tmp_path, capsys):
         hashes = set()
         for learners in ("vanilla,agem", "vanilla,gem"):

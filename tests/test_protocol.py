@@ -657,6 +657,79 @@ class TestDataDiscovery:
             assert base_a[i] == base_b[i]
 
 
+def toy_json_stream() -> dict:
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy.json")) as f:
+        return json.load(f)["stream"]
+
+
+class TestBaseCache:
+    """The Permuted MNIST base is built once per process and key, read-only."""
+
+    @staticmethod
+    def content(stream):
+        return [(t.train_x[:], t.train_y, t.train_ids, t.test_x[:], t.test_y)
+                for t in stream.tasks]
+
+    def test_warm_streams_equal_cold_ones(self, base_builds):
+        stream = toy_json_stream()
+        cold = []
+        for seed in range(3):
+            protocol._base_cache.clear()
+            cold.append(self.content(build_stream(stream, seed)))
+        assert len(base_builds()) == 3
+        warm = [build_stream(stream, seed) for seed in range(3)]
+        assert len(base_builds()) == 3      # every warm stream read the cached base
+        assert len({id(s.tasks[0].train_x.base) for s in warm}) == 1
+        for cold_tasks, warm_stream in zip(cold, warm):
+            for a, b in zip(cold_tasks, self.content(warm_stream), strict=True):
+                for x, y in zip(a, b, strict=True):
+                    np.testing.assert_array_equal(x, y)
+
+    def test_base_arrays_are_read_only(self, base_builds):
+        task = build_stream(toy_json_stream(), 0).tasks[1]
+        for array in (task.train_x.base, task.test_x.base):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        base = protocol._base_cache[1]
+        assert not base.train_y.flags.writeable and not base.test_y.flags.writeable
+        # a direct caller of the generator still gets its own writeable arrays
+        assert synthetic_mnist_base(20, 10, dim=4).train_x.flags.writeable
+
+    @pytest.mark.parametrize("key,value", [("base_train", 201), ("base_test", 81),
+                                           ("base_seed", 1), ("input_dim", 9),
+                                           ("base_noise", 0.5)])
+    def test_a_changed_base_key_rebuilds_the_base(self, base_builds, key, value):
+        assert set(protocol.BASE_KEYS) == set(STREAM_DEFAULTS["permuted-mnist"]) - {
+            "tasks", "cv_split", "train_per_task", "test_per_task", "data_dir"}
+        first = {"kind": "permuted-mnist", "tasks": 2, "cv_split": 1, "train_per_task": 20,
+                 "test_per_task": 10, "base_train": 200, "base_test": 80, "input_dim": 8}
+        other = {**first, key: value}
+
+        def inputs(stream):
+            task = build_stream(stream, 0).tasks[0]
+            return task.train_x.base, task.test_x.base
+
+        a, b, c = inputs(first), inputs(other), inputs(first)
+        assert len(base_builds()) == 3      # one base held: going back builds it again
+        assert a[0] is not c[0] and all(map(np.array_equal, a, c))
+        assert not all(map(np.array_equal, a, b))
+
+    def test_a_rewritten_idx_file_is_read_again(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(protocol, "_base_cache", [])
+        write_mnist_idx(tmp_path)
+        stream = {"kind": "permuted-mnist", "tasks": 2, "cv_split": 1, "data_dir": str(tmp_path)}
+        first = build_stream(stream, 0).tasks[0].train_x.base
+        assert build_stream(stream, 1).tasks[0].train_x.base is first
+        # the same size, new bytes and a new mtime
+        path = tmp_path / IDX_FILES[0]
+        blob = path.read_bytes()
+        path.write_bytes(blob[:16] + bytes(255 - b for b in blob[16:]))
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        again = build_stream(stream, 0).tasks[0].train_x.base
+        np.testing.assert_allclose(again, 1.0 - first)
+
+
 class TestDefaults:
     def test_benchmark_defaults_match_published_config(self):
         hp = HyperParams()
