@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import asdict, astuple, fields, replace
 
-from .errors import LlbError
+from .errors import LlbError, reject_unknown
 from .metrics import MetricsReport
 from .protocol import (
     ExperimentConfig,
@@ -61,20 +61,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """An ``ExperimentConfig`` from its JSON form; a malformed one raises LlbError."""
     if not isinstance(data, dict):
         raise LlbError("config must be a JSON object")
-    valid = sorted(f.name for f in fields(ExperimentConfig))
-    unknown = set(data) - set(valid)
-    if unknown:
-        raise LlbError(f"unknown config key(s): {sorted(unknown)}; valid: {valid}")
+    reject_unknown("config", data, (f.name for f in fields(ExperimentConfig)))
     kwargs = dict(data)
     for key in ("hidden", "seeds"):
         if isinstance(kwargs.get(key), list):
             kwargs[key] = tuple(kwargs[key])
-    try:
-        if isinstance(kwargs.get("base"), dict):
-            kwargs["base"] = HyperParams(**kwargs["base"])
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise LlbError(f"bad config: {exc}") from exc
+    if isinstance(kwargs.get("base"), dict):
+        reject_unknown("base", kwargs["base"], (f.name for f in fields(HyperParams)))
+        kwargs["base"] = HyperParams(**kwargs["base"])
+    return ExperimentConfig(**kwargs)
 
 
 def run_config_seeds(config: ExperimentConfig, jobs: int = 1) -> list[SeedResult]:

@@ -18,14 +18,13 @@ import numpy as np
 
 from . import nn
 from .embedding import je_loss_and_grad
-from .errors import ConfigurationError
+from .errors import ConfigurationError, reject_unknown
 from .memory import EpisodicMemory, sample_ref_batch, update_eps_mem
 from .nn import Batch, Model, apply_update
-from .qp import DualProblem, drop_zero_rows, reconstruct, solve_nonneg_qp
+from .qp import ZERO_ROW_EPS, DualProblem, drop_zero_rows, reconstruct, solve_nonneg_qp
 from .rng import spawn_seed, substream
 from .streams import TaskDataset
 
-DEGENERATE_REF_EPS = 1e-12
 CERTIFY_MARGIN = 4.0    # four times the round-off bound of ``certified_positive``
 FACTOR_PAYS = 8         # how much larger a skipped weight block must be than its check
 NORM_RANGE = (2.0**-250, 2.0**250)
@@ -122,13 +121,13 @@ def agem_project(g: np.ndarray, g_ref: np.ndarray, out: np.ndarray | None = None
     rounded as written: the scaled reference first, then the difference.
     g~ is written into ``out`` when given, which may be g_ref itself (not
     g); without ``out`` it is a new vector.  A reference of squared norm at
-    most ``DEGENERATE_REF_EPS`` (all zero, say) passes g through unviolated.
+    most ``qp.ZERO_ROW_EPS`` (all zero, say) passes g through unviolated.
     """
     if g.shape != g_ref.shape:
         raise ConfigurationError("gradient and reference length mismatch")
     ref_sq = float(g_ref @ g_ref)
     dot = float(g @ g_ref)
-    if ref_sq <= DEGENERATE_REF_EPS or dot >= 0.0:
+    if ref_sq <= ZERO_ROW_EPS or dot >= 0.0:
         return Projection(g, False)
     scaled = np.multiply(dot / ref_sq, g_ref, out=out)
     return Projection(np.subtract(g, scaled, out=scaled), True)
@@ -480,17 +479,12 @@ class SGemLearner(Learner):
 LEARNERS = {
     cls.name: cls for cls in (Learner, EwcLearner, AGemLearner, GemLearner, SGemLearner)
 }
-LEARNER_NAMES = tuple(sorted(LEARNERS)) + ("multitask",)
+LEARNER_NAMES = (*LEARNERS, "multitask")
 
 
 def make_learner(name: str, model: Model, hp, seed: int) -> Learner:
-    try:
-        cls = LEARNERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown learner {name!r}; valid: {', '.join(LEARNER_NAMES)}"
-        ) from None
-    return cls(model, hp, seed)
+    reject_unknown("learner", name, LEARNERS)
+    return LEARNERS[name](model, hp, seed)
 
 
 def multitask_train(

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import nn
 from .embedding import je_predict
-from .errors import ConfigurationError, LlbError, NumericError, ProtocolError
+from .errors import ConfigurationError, LlbError, NumericError, ProtocolError, reject_unknown
 from .learners import LEARNER_NAMES, Learner, LearnerState, make_learner, multitask_train
 from .metrics import (
     AccuracyTensor,
@@ -67,11 +67,12 @@ LEAST_VALUES = {"tasks": 2, **dict.fromkeys((
 def check_value(level: str, key: str, value, default) -> None:
     """Raise ConfigurationError unless ``value`` takes its default's JSON
     type (an integer also serves as a number, a ``null`` default stands for
-    a string, a list is not empty and its items take its first item's type,
-    and any other default stands for an object of its type) and every number
-    in it is finite and at least its ``LEAST_VALUES`` entry, or 0 (``lr`` is
-    above 0).  ``null`` is valid where the default is ``null`` and for the
-    per-task row counts, where it keeps every base row.  ``level`` names the config object."""
+    a string, a string is not empty, a list is not empty and its items take
+    its first item's type, and any other default stands for an object of
+    its type) and every number in it is finite and at least its
+    ``LEAST_VALUES`` entry, or 0 (``lr`` is above 0).  ``null`` is valid
+    where the default is ``null`` and for the per-task row counts, where it
+    keeps every base row.  ``level`` names the config object."""
     nullable = default is None or key in ("train_per_task", "test_per_task")
     if value is None and nullable:
         return
@@ -84,7 +85,7 @@ def check_value(level: str, key: str, value, default) -> None:
     bound = (" > 0" if key == "lr" else f" >= {least}") if noun in ("integer", "number") else ""
 
     def ok(v) -> bool:
-        return (isinstance(v, types) and (types is bool or not isinstance(v, bool))
+        return (isinstance(v, types) and (types is bool or not isinstance(v, bool)) and v != ""
                 and (not bound or (v > 0 if key == "lr" else v >= least) and v < np.inf))
 
     if not (isinstance(value, (list, tuple)) and value and all(map(ok, value)) if is_list
@@ -92,6 +93,8 @@ def check_value(level: str, key: str, value, default) -> None:
         items = value if isinstance(value, (list, tuple)) else (value,)
         if noun == "number" and any(isinstance(v, float) and not np.isfinite(v) for v in items):
             noun = "finite number"      # name the bound an infinity or NaN breaks
+        if isinstance(value, str) and not value:
+            noun = "non-empty string"   # an empty data_dir would read as unset
         wanted = f"a list of {noun}s" if is_list else ("an " if noun[0] in "aio" else "a ") + noun
         rest = ", not empty" if is_list else " or null" if nullable else ""
         raise ConfigurationError(f"{level} {key!r} must be {wanted}{bound}{rest}, got {value!r}")
@@ -116,9 +119,7 @@ class HyperParams:
 def expand_grid(base: HyperParams, grid: dict[str, list]) -> list[HyperParams]:
     """All combinations of the listed values over the base hyper-parameters."""
     defaults = {f.name: f.default for f in fields(HyperParams)}
-    unknown = set(grid) - set(defaults)
-    if unknown:
-        raise ConfigurationError(f"unknown hyper-parameter(s) in grid: {sorted(unknown)}")
+    reject_unknown("grid", grid, defaults)
     candidates = [base]
     for name, values in grid.items():
         check_value("grid", name, values, [defaults[name]])
@@ -224,15 +225,9 @@ def check_stream(stream: dict) -> dict:
     """The stream with its kind's defaults filled in; raises
     ConfigurationError on an unknown kind or key, or on a bad value."""
     kind = stream.get("kind", "permuted-mnist")
-    if not isinstance(kind, str) or kind not in STREAM_DEFAULTS:
-        raise ConfigurationError(f"unknown stream kind {kind!r}; valid: {sorted(STREAM_DEFAULTS)}")
+    reject_unknown("stream kind", kind, STREAM_DEFAULTS)
     defaults = STREAM_DEFAULTS[kind]
-    unknown = set(stream) - {"kind", *defaults}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown stream key(s) {sorted(unknown)} for kind {kind!r}; "
-            f"valid: {sorted({'kind', *defaults})}"
-        )
+    reject_unknown("stream", stream, {"kind", *defaults}, f" for kind {kind!r}")
     for key, value in stream.items():
         if key != "kind":
             check_value("stream", key, value, defaults[key])
@@ -731,11 +726,7 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigurationError(f"config 'seeds' names a seed twice: {list(self.seeds)}")
         base, je = parse_learner(self.learner)
-        if base not in LEARNER_NAMES:
-            raise ConfigurationError(
-                f"unknown learner {self.learner!r}; valid: {', '.join(LEARNER_NAMES)}"
-                " (each optionally with a -je suffix)"
-            )
+        reject_unknown("learner", base, LEARNER_NAMES, " (each optionally with a -je suffix)")
         if check_stream(self.stream)["kind"] == "permuted-mnist" and je:
             raise ConfigurationError(
                 f"learner {self.learner!r} needs attribute descriptors (stream kind "

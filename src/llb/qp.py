@@ -34,7 +34,7 @@ from .errors import ConfigurationError, NumericError
 # -_ROUNDING (t + 1) (max|Q| sum(v) + max|c|): a bound, with margin, on the
 # rounding error of the gradient and on the residual of the last solve.
 _ROUNDING = 64 * np.finfo(np.float64).eps
-ZERO_ROW_EPS = 1e-12    # the largest squared norm of a row drop_zero_rows drops
+ZERO_ROW_EPS = 1e-12    # a memory gradient of squared norm at most this constrains nothing
 
 
 @dataclass(frozen=True)

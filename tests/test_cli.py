@@ -368,6 +368,18 @@ class TestRunCommand:
         assert err.startswith("error: base 'lam' must be a finite number >= 0, got inf")
         assert not (tmp_path / "x").exists()
 
+    def test_misspelt_base_key_exit_2_before_any_seed_runs(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(cli, "run_seed", never)
+        path = tmp_path / "lrr.json"
+        path.write_text(json.dumps({**TOY, "base": {**TOY["base"], "lrr": 0.1}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown base key(s) ['lrr']; valid: [") and "'lr'" in err
+        assert not (tmp_path / "x").exists()
+
     def test_overrides_replace_config_fields(self, toy_config, capsys):
         assert main(["run", "--config", toy_config, "--learner", "gem", "--seeds", "3,4",
                      "--hidden", "7", "--study-epochs", "2", "--print-config"]) == 0

@@ -4,6 +4,7 @@ import os
 import re
 from dataclasses import fields
 
+import llb
 from llb.cli import build_parser, main
 from llb.protocol import STREAM_DEFAULTS, ExperimentConfig, HyperParams
 from llb.selftest import SUITES
@@ -65,3 +66,13 @@ def test_outputs_paragraph_names_exactly_the_files_run_writes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert set(re.findall(r"`(\w+\.(?:json|csv))`", paragraph)) == set(os.listdir(out))
+
+
+def test_library_tour_imports_only_package_exports():
+    with open(README) as f:
+        text = f.read()
+    tour = text[text.index("## Library tour"):]
+    block = re.search(r"from llb import \((.*?)\)", tour, re.S).group(1)
+    names = block.replace(",", " ").split()
+    assert "HyperParams" in names and "run_single_pass" in names
+    assert [name for name in names if not hasattr(llb, name)] == []

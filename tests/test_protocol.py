@@ -13,7 +13,7 @@ import pytest
 from llb import cli, nn, protocol
 from llb.cli import config_from_dict
 from llb.errors import ConfigurationError, LlbError, NumericError, ProtocolError
-from llb.learners import LearnerState, make_learner, multitask_train
+from llb.learners import LEARNER_NAMES, LEARNERS, LearnerState, make_learner, multitask_train
 from llb.metrics import AccuracyTensor, avg_accuracy
 from llb.protocol import (
     DATA_DIR_ENV,
@@ -639,6 +639,24 @@ class TestDataDiscovery:
         )
         assert stream.tasks[0].train_x.shape == (12, 12)
 
+    def test_empty_data_dir_exit_2_before_any_seed_runs(self, tmp_path, capsys, monkeypatch):
+        # read as unset, an empty data_dir would fall back to the synthetic base
+        def never(*args, **kwargs):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(cli, "run_seed", never)
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"stream": {"kind": "permuted-mnist", "data_dir": ""}}))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: stream 'data_dir' must be a non-empty string or null, got ''")
+
+    def test_empty_env_dir_reads_as_unset(self, monkeypatch):
+        monkeypatch.setenv(DATA_DIR_ENV, "")
+        stream = build_stream({"kind": "permuted-mnist", "tasks": 2, "cv_split": 1,
+                               "base_train": 50, "base_test": 20, "input_dim": 9}, 0)
+        assert stream.tasks[0].train_x.shape == (50, 9)
+
     def test_synthetic_base_fixed_across_run_seeds(self):
         kw = {"kind": "permuted-mnist", "tasks": 2, "cv_split": 1,
               "train_per_task": 10, "test_per_task": 5,
@@ -870,14 +888,14 @@ class TestConfigValues:
         assert (hp.lr, hp.lam, hp.beta) == (1, 0, 0)
 
     @pytest.mark.parametrize("change, message", [
-        ({"learner": "bogus-je"}, "unknown learner 'bogus-je'"),
+        ({"learner": "bogus-je"}, "unknown learner 'bogus'; valid (each optionally with a -je suffix)"),
         ({"learner": None}, "config 'learner' must be a string"),
         ({"stream": {"kind": "permuted-mnist", "tasks": 1}}, "stream 'tasks' must be an integer >= 2"),
         ({"stream": {"kind": "synthetic-split", "attributes": 0}}, "stream 'attributes'"),
         ({"stream": {"train_per_tsk": 20}}, "unknown stream key(s) ['train_per_tsk']"),
         ({"grid": {"lr": [0.1, 0]}}, "grid 'lr' must be a list of numbers > 0"),
         ({"grid": {"lr": []}}, "grid 'lr' must be a list of numbers > 0, not empty, got []"),
-        ({"grid": {"nope": [1]}}, "unknown hyper-parameter(s) in grid"),
+        ({"grid": {"nope": [1]}}, "unknown grid key(s) ['nope']"),
         ({"base": {"lr": 0.1}}, "config 'base' must be an object"),
         ({"hidden": (64, 0)}, "config 'hidden' must be a list of integers >= 1"),
         ({"seeds": ()}, "config 'seeds' must be a list of integers >= 0, not empty, got ()"),
@@ -902,6 +920,33 @@ class TestConfigValues:
         assert set(LEAST_VALUES) <= keys
 
 
+HP_KEYS = [f.name for f in fields(HyperParams)]
+
+
+class TestUnknownNames:
+    """Every unknown-name check names the unknown entry and every valid one."""
+
+    @pytest.mark.parametrize("make, unknown, valid", [
+        (lambda: config_from_dict({"learnerz": "agem"}), "learnerz",
+         [f.name for f in fields(ExperimentConfig)]),
+        (lambda: config_from_dict({"base": {"lrr": 0.1}}), "lrr", HP_KEYS),
+        (lambda: build_stream({"train_per_tsk": 20}, 0), "train_per_tsk",
+         ["kind", *STREAM_DEFAULTS["permuted-mnist"]]),
+        (lambda: build_stream({"kind": "split"}, 0), "split", list(STREAM_DEFAULTS)),
+        (lambda: expand_grid(HyperParams(), {"lrr": [0.1]}), "lrr", HP_KEYS),
+        (lambda: ExperimentConfig(learner="bogus"), "bogus", list(LEARNER_NAMES)),
+        # multitask has no Learner class: run_seed trains it with multitask_train
+        (lambda: make_learner("multitask", None, HyperParams(), 0), "multitask", list(LEARNERS)),
+    ], ids=["config", "base", "stream", "kind", "grid", "learner", "make_learner"])
+    def test_message_names_unknown_and_valid(self, make, unknown, valid):
+        with pytest.raises(ConfigurationError) as err:
+            make()
+        head, sep, listed = str(err.value).partition("; valid")
+        assert head.startswith("unknown ") and repr(unknown) in head and sep
+        assert all(repr(name) in listed for name in valid)
+        assert repr(unknown) not in listed
+
+
 class TestExpandGrid:
     def test_product(self):
         base = HyperParams()
@@ -910,7 +955,7 @@ class TestExpandGrid:
         assert len({(h.lr, h.lam) for h in grid}) == 6
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown hyper-parameter"):
+        with pytest.raises(ConfigurationError, match="unknown grid key"):
             expand_grid(HyperParams(), {"nope": [1]})
 
 
