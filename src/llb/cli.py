@@ -134,54 +134,58 @@ def emit_report(
 # subcommands
 
 
-def _int_flag(flag: str, text: str) -> tuple[int, ...]:
+def _list_flag(flag: str, text: str, parse=str) -> tuple:
+    """A comma-separated flag value as a tuple of ``parse``d items; an empty
+    value or item, or one ``parse`` refuses, raises LlbError naming the flag."""
+    items = text.split(",")
     try:
-        return tuple(int(v) for v in text.split(","))
+        if all(item.strip() for item in items):
+            return tuple(parse(item) for item in items)
     except ValueError:
-        raise LlbError(f"{flag} takes comma-separated integers, got {text!r}") from None
+        pass
+    raise LlbError(f"{flag} takes comma-separated {'integers' if parse is int else 'names'}, "
+                   f"got {text!r}")
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the command-line overrides applied;
-    a malformed file or flag raises LlbError."""
+    """The config file (or the defaults), each flag that is given replacing its
+    config value; a malformed file or flag raises LlbError."""
     if args.jobs < 1:
         raise LlbError(f"--jobs must be at least 1, got {args.jobs}")
     data = {}
-    if args.config:
-        with open(args.config) as f:
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as f:
             try:
                 data = json.load(f)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:       # not UTF-8, or not JSON
                 raise LlbError(f"{args.config} is not valid JSON: {exc}") from None
     config = config_from_dict(data)
-    overrides = {}
-    if args.seeds:
-        overrides["seeds"] = _int_flag("--seeds", args.seeds)
-    if args.hidden:
-        overrides["hidden"] = _int_flag("--hidden", args.hidden)
+    overrides = {key: _list_flag(f"--{key}", getattr(args, key), int)
+                 for key in ("seeds", "hidden") if getattr(args, key) is not None}
     if args.study_epochs is not None:
         overrides["study_epochs"] = args.study_epochs
     return replace(config, **overrides)
 
 
-def cmd_run(args) -> int:
+def _learner_configs(args, flag: str = "--learners") -> list[ExperimentConfig]:
+    """The config once per learner the flag names (default: its own learner), all checked."""
     config = _load_config(args)
-    if args.learner:
-        config = replace(config, learner=args.learner)
-    if args.print_config:
-        print(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
-        return 0
-    run_learners([config], args.out, args.jobs)
-    return 0
-
-
-def _learner_configs(args) -> list[ExperimentConfig]:
-    """The config once per ``--learners`` entry (default: its own learner), all checked."""
-    config = _load_config(args)
-    names = args.learners.split(",") if args.learners else [config.learner]
+    text = getattr(args, flag[2:])
+    names = (config.learner,) if text is None else _list_flag(flag, text)
     if len(set(names)) < len(names):
-        raise LlbError(f"--learners names a learner twice: {args.learners}")
+        raise LlbError(f"{flag} names a learner twice: {text}")
     return [replace(config, learner=name) for name in names]
+
+
+def cmd_run(args) -> int:
+    configs = _learner_configs(args, "--learner")
+    if len(configs) > 1:
+        raise LlbError(f"--learner takes one name, got {args.learner!r}")
+    if args.print_config:
+        print(json.dumps(config_to_dict(configs[0]), indent=2, sort_keys=True))
+        return 0
+    run_learners(configs, args.out, args.jobs)
+    return 0
 
 
 def run_learners(configs: list[ExperimentConfig], out_dir: str, jobs: int) -> None:
@@ -255,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--study-epochs", type=int, dest="study_epochs",
                        help="epochs per EV task (study mode when > 1)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="run up to this many seeds side by side (default 1)")
+                       help="run up to this many seeds side by side (default 1); each keeps "
+                            "the caller's BLAS threads, so on 2 cores 2 is slower than 1")
         p.add_argument("--out", default="llb-out")
 
     p_run = sub.add_parser("run", help="run one experiment config", allow_abbrev=False)

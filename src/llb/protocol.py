@@ -193,8 +193,13 @@ def _mnist_base(stream: dict) -> BaseData:
                *((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths)))
 
         def build():
-            return BaseData(*load_mnist_idx(paths[0], paths[1]),
+            base = BaseData(*load_mnist_idx(paths[0], paths[1]),
                             *load_mnist_idx(paths[2], paths[3]))
+            for path, y in ((paths[1], base.train_y), (paths[3], base.test_y)):
+                if (past := np.flatnonzero(y >= base.num_classes)).size:
+                    raise ConfigurationError(f"{path}: label {y[past[0]]} at item {past[0]} "
+                                             f"is past the base's {base.num_classes} classes")
+            return base
     else:
         key = tuple(stream[k] for k in BASE_KEYS)
         # like a real dataset, the synthetic base is fixed across run seeds;

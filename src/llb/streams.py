@@ -14,6 +14,7 @@ offline.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import Counter
 from collections.abc import Sequence
@@ -25,8 +26,6 @@ from .errors import ConfigurationError, IdxFormatError
 from .nn import Batch
 from .rng import substream
 
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 SYNTHETIC_CHUNK_ROWS = 1024
 # the synthetic MNIST stand-in: pixel levels of its ink zone and background,
 # the share of pixels in the ink zone, and the spread of the class means
@@ -112,7 +111,8 @@ class TaskDataset:
                 raise ConfigurationError(f"task {self.task_id} has {len(x)} {split} rows "
                                          f"for {len(y)} {split} labels")
             if y.min() < 0 or y.max() >= len(self.label_set):
-                raise ConfigurationError("labels must index into label_set")
+                raise ConfigurationError(f"task {self.task_id}'s {split} labels must index "
+                                         f"into its label_set of {len(self.label_set)}")
         if len(self.train_ids) != len(self.train_y):
             raise ConfigurationError(f"task {self.task_id} has {len(self.train_ids)} training "
                                      f"sample ids for {len(self.train_y)} training rows")
@@ -179,55 +179,36 @@ class BaseData:
     num_classes: int = 10
 
 
-def _read_be32(data: bytes, offset: int, path: str) -> int:
-    if offset + 4 > len(data):
-        raise IdxFormatError(f"{path}: truncated header at byte {offset}")
-    return struct.unpack_from(">I", data, offset)[0]
+def _read_idx(path, kind: str, ndim: int) -> tuple[list[int], np.ndarray]:
+    """One IDX file of unsigned bytes: its ``ndim`` dimension sizes and its
+    items.  Big-endian, bit-exact per the de-facto format (magic, sizes, raw
+    bytes), checked in that order; ``kind`` names the file's content."""
+    with open(path, "rb") as f:
+        data = f.read()
+    magic, size = 0x800 + ndim, 4 * (1 + ndim)     # type code 0x08 (unsigned byte), ndim
+    header = []
+    for offset in range(0, size, 4):
+        if offset + 4 > len(data):
+            raise IdxFormatError(f"{path}: truncated header at byte {offset}")
+        header += struct.unpack_from(">I", data, offset)
+        if header[0] != magic:
+            raise IdxFormatError(f"{path}: bad {kind} magic 0x{header[0]:08x} at byte 0 "
+                                 f"(expected 0x{magic:08x})")
+    need = size + math.prod(header[1:])
+    if len(data) < need:
+        raise IdxFormatError(f"{path}: truncated at byte {len(data)} (need {need})")
+    return header[1:], np.frombuffer(data, dtype=np.uint8, count=need - size, offset=size)
 
 
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one IDX image/label file pair.
-
-    Returns float64 images scaled to [0, 1], flattened to (n, rows*cols),
-    and int labels.  Big-endian, bit-exact per the de-facto format: magic,
-    dims, raw bytes.
-    """
-    with open(images_path, "rb") as f:
-        img = f.read()
-    with open(labels_path, "rb") as f:
-        lab = f.read()
-
-    magic = _read_be32(img, 0, str(images_path))
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: bad image magic 0x{magic:08x} at byte 0 "
-            f"(expected 0x{IDX_IMAGE_MAGIC:08x})"
-        )
-    n = _read_be32(img, 4, str(images_path))
-    rows = _read_be32(img, 8, str(images_path))
-    cols = _read_be32(img, 12, str(images_path))
-    need = 16 + n * rows * cols
-    if len(img) < need:
-        raise IdxFormatError(
-            f"{images_path}: truncated at byte {len(img)} (need {need})"
-        )
-
-    lmagic = _read_be32(lab, 0, str(labels_path))
-    if lmagic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: bad label magic 0x{lmagic:08x} at byte 0 "
-            f"(expected 0x{IDX_LABEL_MAGIC:08x})"
-        )
-    ln = _read_be32(lab, 4, str(labels_path))
-    if len(lab) < 8 + ln:
-        raise IdxFormatError(f"{labels_path}: truncated at byte {len(lab)} (need {8 + ln})")
+    """Parse one IDX image/label file pair: float64 images scaled to [0, 1],
+    flattened to (n, rows*cols), and int labels."""
+    (n, rows, cols), x = _read_idx(images_path, "image", 3)
+    (ln,), y = _read_idx(labels_path, "label", 1)
     if ln != n:
         raise IdxFormatError(
             f"count mismatch: {n} images ({images_path}) vs {ln} labels ({labels_path})"
         )
-
-    x = np.frombuffer(img, dtype=np.uint8, count=n * rows * cols, offset=16)
-    y = np.frombuffer(lab, dtype=np.uint8, count=n, offset=8)
     return x.reshape(n, rows * cols).astype(np.float64) / 255.0, y.astype(np.int64)
 
 

@@ -265,6 +265,33 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{flag} takes comma-separated integers" in err
 
+    @pytest.mark.parametrize("command,flags,message", [
+        # a flag that is given replaces its config value, so an empty one is an error
+        ("run", ["--seeds", ""], "error: --seeds takes comma-separated integers, got ''"),
+        ("run", ["--hidden", ""], "error: --hidden takes comma-separated integers, got ''"),
+        ("run", ["--learner", ""], "error: --learner takes comma-separated names, got ''"),
+        ("compare", ["--learners", ""], "error: --learners takes comma-separated names, got ''"),
+        ("grid", ["--learners", ""], "error: --learners takes comma-separated names, got ''"),
+        ("compare", ["--learners", "agem,"],
+         "error: --learners takes comma-separated names, got 'agem,'"),
+        ("run", ["--seeds", "0,,1"], "error: --seeds takes comma-separated integers, got '0,,1'"),
+        ("run", ["--learner", "agem,gem"], "error: --learner takes one name, got 'agem,gem'"),
+        ("run", ["--config", ""], "error: [Errno 2] No such file or directory: ''"),
+        ("run", ["--config", "{latin1}"], "error: {latin1} is not valid JSON: 'utf-8' codec"),
+    ])
+    def test_malformed_flag_exit_2_before_any_seed_runs(self, command, flags, message, toy_config,
+                                                         tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(cli, "run_seed", never)
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"learner": "\u00e4gem"}'.encode("latin-1"))
+        flags = [flag.format(latin1=latin1) for flag in flags]
+        assert main([command, "--config", toy_config, *flags, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(message.format(latin1=latin1))
+        assert not (tmp_path / "x").exists()
+
     def test_misspelt_stream_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({**TOY, "stream": {**TOY["stream"], "train_per_tsk": 20}}))

@@ -625,6 +625,46 @@ class TestDataDiscovery:
         assert str(tmp_path) in str(err.value)
         assert all(n not in str(err.value) for n in IDX_FILES if n != absent)
 
+    # a malformed IDX file under the data directory, and the one message it
+    # gives: the checks fire in file order, images before labels
+    HEADER = struct.pack(">IIII", 0x803, 12, 4, 3)
+
+    @pytest.mark.parametrize("name,blob,message", [
+        (IDX_FILES[0], b"", "{0}: truncated header at byte 0"),
+        (IDX_FILES[0], HEADER[:3], "{0}: truncated header at byte 0"),
+        (IDX_FILES[0], HEADER[:4], "{0}: truncated header at byte 4"),
+        (IDX_FILES[0], HEADER[:10], "{0}: truncated header at byte 8"),
+        (IDX_FILES[0], HEADER[:15], "{0}: truncated header at byte 12"),
+        (IDX_FILES[0], struct.pack(">I", 0x801),
+         "{0}: bad image magic 0x00000801 at byte 0 (expected 0x00000803)"),
+        (IDX_FILES[0], HEADER + bytes(143), "{0}: truncated at byte 159 (need 160)"),
+        (IDX_FILES[1], b"\x00\x00\x08", "{1}: truncated header at byte 0"),
+        (IDX_FILES[1], struct.pack(">I", 0x801), "{1}: truncated header at byte 4"),
+        (IDX_FILES[1], struct.pack(">IH", 0x803, 0),
+         "{1}: bad label magic 0x00000803 at byte 0 (expected 0x00000801)"),
+        (IDX_FILES[1], struct.pack(">II", 0x801, 12) + bytes(11),
+         "{1}: truncated at byte 19 (need 20)"),
+        # a cut payload fires before the count mismatch
+        (IDX_FILES[1], struct.pack(">II", 0x801, 13) + bytes(12),
+         "{1}: truncated at byte 20 (need 21)"),
+        (IDX_FILES[1], struct.pack(">II", 0x801, 11) + bytes(11),
+         "count mismatch: 12 images ({0}) vs 11 labels ({1})"),
+        (IDX_FILES[1], struct.pack(">II", 0x801, 12) + bytes([3, 1, 4, 1, 5, 11, 12] + [0] * 5),
+         "{1}: label 11 at item 5 is past the base's 10 classes"),
+        (IDX_FILES[3], struct.pack(">II", 0x801, 6) + bytes([0, 1, 2, 3, 4, 255]),
+         "{3}: label 255 at item 5 is past the base's 10 classes"),
+    ], ids=["images-empty", "images-magic-cut", "images-magic-only", "images-count-cut",
+            "images-cols-cut", "images-short-bad-magic", "images-payload-cut", "labels-magic-cut",
+            "labels-magic-only", "labels-short-bad-magic", "labels-payload-cut",
+            "labels-payload-cut-and-count", "count-mismatch", "train-label-past-classes",
+            "test-label-past-classes"])
+    def test_malformed_idx_file_raises_one_message(self, name, blob, message, tmp_path):
+        write_mnist_idx(tmp_path)
+        (tmp_path / name).write_bytes(blob)
+        with pytest.raises(LlbError) as err:
+            build_stream({"kind": "permuted-mnist", "data_dir": str(tmp_path)}, 0)
+        assert str(err.value) == message.format(*(tmp_path / n for n in IDX_FILES))
+
     def test_env_dir_without_idx_files_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "no-such-dir"))
         with pytest.raises(ConfigurationError, match="no-such-dir") as err:

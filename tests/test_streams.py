@@ -404,6 +404,17 @@ class TestLazyRows:
                 descriptor=1, label_set=(0,),
             )
 
+    @pytest.mark.parametrize("split, train_y, test_y", [
+        ("training", [0, 2, 1], [0, 1]), ("test", [0, 1, 1], [-1, 0]),
+    ])
+    def test_task_with_a_label_outside_its_label_set_rejected(self, split, train_y, test_y):
+        with pytest.raises(ConfigurationError,
+                           match=f"task 4's {split} labels must index into its label_set of 2"):
+            TaskDataset(
+                task_id=4, train_x=np.zeros((3, 4)), train_y=np.array(train_y),
+                test_x=np.zeros((2, 4)), test_y=np.array(test_y), descriptor=4, label_set=(5, 7),
+            )
+
     @pytest.mark.parametrize("split, train, test", [
         ("training", (5, 10), (3, 3)), ("test", (3, 3), (2, 4)),
     ])
